@@ -1,28 +1,13 @@
-"""Hot inner loops, JIT-compiled when numba is available.
+"""Hot inner loops in numpy and plain Python.
 
-Every kernel exists in two behaviorally identical versions: a pure-numpy
-reference (suffix ``_numpy``) and a numba ``@njit`` loop (suffix ``_jit``).
-The public name points at the jit version unless numba is missing or the
-environment variable ``PERMOFDM_DISABLE_NUMBA`` is set to a non-empty value.
-``JIT_ENABLED`` reports which path won.  benchmarks/bench_kernels.py times
-the two paths against each other; the test suite checks they agree.
+There is one implementation per kernel.  ``JIT_ENABLED`` is always False:
+the package compiles nothing, and the constant stays only because run
+records report it.
 """
-
-import os
 
 import numpy as np
 
-_DISABLE = bool(os.environ.get("PERMOFDM_DISABLE_NUMBA"))
-
-try:
-    if _DISABLE:
-        raise ImportError("disabled by PERMOFDM_DISABLE_NUMBA")
-    from numba import njit
-
-    JIT_ENABLED = True
-except ImportError:
-    njit = None
-    JIT_ENABLED = False
+JIT_ENABLED = False
 
 
 # ---------------------------------------------------------------------------
@@ -35,13 +20,13 @@ except ImportError:
 # "nearest constellation point, ties toward the lowest point index".
 # ---------------------------------------------------------------------------
 
-def demod_points_numpy(re, im, L, bpa, scale):
-    bi = _demod_axis_numpy(re, L, scale)
-    bq = _demod_axis_numpy(im, L, scale)
+def demod_points(re, im, L, bpa, scale):
+    bi = _demod_axis(re, L, scale)
+    bq = _demod_axis(im, L, scale)
     return ((bi ^ (bi >> 1)) << bpa) | (bq ^ (bq >> 1))
 
 
-def _demod_axis_numpy(v, L, scale):
+def _demod_axis(v, L, scale):
     t = (L - 1 - v / scale) / 2.0
     bf = np.clip(np.floor(t), 0, L - 2).astype(np.int64)
     d0 = np.abs(v - (L - 1 - 2 * bf) * scale)
@@ -52,32 +37,6 @@ def _demod_axis_numpy(v, L, scale):
     return np.where(take1, bf + 1, bf)
 
 
-def _demod_points_loop(re, im, L, bpa, scale):
-    n = re.shape[0]
-    out = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        gi = _axis_gray(re[i], L, scale)
-        gq = _axis_gray(im[i], L, scale)
-        out[i] = (gi << bpa) | gq
-    return out
-
-
-def _axis_gray_py(v, L, scale):
-    t = (L - 1 - v / scale) / 2.0
-    bf = int(np.floor(t))
-    if bf < 0:
-        bf = 0
-    elif bf > L - 2:
-        bf = L - 2
-    d0 = abs(v - (L - 1 - 2 * bf) * scale)
-    d1 = abs(v - (L - 3 - 2 * bf) * scale)
-    g0 = bf ^ (bf >> 1)
-    g1 = (bf + 1) ^ ((bf + 1) >> 1)
-    if d1 < d0 or (d1 == d0 and g1 < g0):
-        return g1
-    return g0
-
-
 # ---------------------------------------------------------------------------
 # Fisher-Yates shuffle driven by a byte stream
 #
@@ -86,55 +45,48 @@ def _axis_gray_py(v, L, scale):
 # reject values > i.  Returns (perm, bytes_consumed, ok); ok is False when
 # the stream ran out, in which case the caller retries with a longer stream
 # (CTR keystreams are prefix-stable, so the retry replays identically).
+#
+# Every i in one byte-width band reads words of the same width, so the rest
+# of the stream is split into words once per band and the draws scan a
+# Python sequence instead of indexing numpy bytes one at a time.
 # ---------------------------------------------------------------------------
 
-def fisher_yates_numpy(stream, size):
-    perm = np.arange(size, dtype=np.int64)
+def fisher_yates(stream, size):
+    perm = list(range(size))
     pos = 0
-    n = stream.shape[0]
-    for i in range(size - 1, 0, -1):
-        nbits = i.bit_length()
-        nbytes = (nbits + 7) >> 3
-        mask = (1 << nbits) - 1
-        while True:
-            if pos + nbytes > n:
-                return perm, pos, False
-            v = 0
-            for b in range(nbytes):
-                v = (v << 8) | int(stream[pos + b])
-            pos += nbytes
-            v &= mask
-            if v <= i:
-                break
-        perm[i], perm[v] = perm[v], perm[i]
-    return perm, pos, True
+    top = max(size - 1, 0).bit_length()
+    while top:
+        nbytes = (top + 7) >> 3
+        floor = 8 * nbytes - 8
+        words = _words(stream, pos, nbytes)
+        k = 0
+        try:
+            for nbits in range(top, floor, -1):
+                mask = (1 << nbits) - 1
+                for i in range(min(mask, size - 1), mask >> 1, -1):
+                    v = words[k] & mask
+                    k += 1
+                    while v > i:
+                        v = words[k] & mask
+                        k += 1
+                    perm[i], perm[v] = perm[v], perm[i]
+        except IndexError:
+            return np.array(perm, dtype=np.int64), pos + k * nbytes, False
+        pos += k * nbytes
+        top = floor
+    return np.array(perm, dtype=np.int64), pos, True
 
 
-def _fisher_yates_loop(stream, size):
-    perm = np.arange(size, dtype=np.int64)
-    pos = 0
-    n = stream.shape[0]
-    for i in range(size - 1, 0, -1):
-        nbits = 0
-        while (1 << nbits) <= i:
-            nbits += 1
-        nbytes = (nbits + 7) >> 3
-        mask = (1 << nbits) - 1
-        v = 0
-        while True:
-            if pos + nbytes > n:
-                return perm, pos, False
-            v = 0
-            for b in range(nbytes):
-                v = (v << 8) | int(stream[pos + b])
-            pos += nbytes
-            v &= mask
-            if v <= i:
-                break
-        t = perm[i]
-        perm[i] = perm[v]
-        perm[v] = t
-    return perm, pos, True
+def _words(stream, pos, nbytes):
+    """Unread bytes as big-endian nbytes-wide ints; a partial tail is dropped."""
+    if nbytes == 1:
+        return stream[pos:].tobytes()  # indexing bytes yields ints directly
+    k = (stream.shape[0] - pos) // nbytes
+    rows = stream[pos:pos + k * nbytes].reshape(k, nbytes)
+    width = 1 << (nbytes - 1).bit_length()  # numpy has no 3-, 5-, 6- or 7-byte ints
+    if width != nbytes:
+        rows = np.pad(rows, ((0, 0), (width - nbytes, 0)))
+    return rows.view(f">u{width}").ravel().tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +98,7 @@ def _fisher_yates_loop(stream, size):
 # closest unused candidates were within tol of each other.
 # ---------------------------------------------------------------------------
 
-def greedy_assign_numpy(dist, tol):
+def greedy_assign(dist, tol):
     size = dist.shape[0]
     order = np.argsort(dist.min(axis=1), kind="stable")
     used = np.zeros(size, dtype=bool)
@@ -164,41 +116,6 @@ def greedy_assign_numpy(dist, tol):
     return perm, n_ambiguous
 
 
-def _greedy_assign_loop(dist, tol):
-    size = dist.shape[0]
-    best = np.empty(size, dtype=np.float64)
-    for n in range(size):
-        m = dist[n, 0]
-        for k in range(1, size):
-            if dist[n, k] < m:
-                m = dist[n, k]
-        best[n] = m
-    order = np.argsort(best, kind="mergesort")
-    used = np.zeros(size, dtype=np.bool_)
-    perm = np.empty(size, dtype=np.int64)
-    n_ambiguous = 0
-    for t in range(size):
-        n = order[t]
-        k1 = -1
-        d1 = np.inf
-        d2 = np.inf
-        for k in range(size):
-            if used[k]:
-                continue
-            d = dist[n, k]
-            if d < d1:
-                d2 = d1
-                d1 = d
-                k1 = k
-            elif d < d2:
-                d2 = d
-        if t < size - 1 and d2 - d1 < tol:
-            n_ambiguous += 1
-        perm[n] = k1
-        used[k1] = True
-    return perm, n_ambiguous
-
-
 # ---------------------------------------------------------------------------
 # exhaustive permutation scan for the brute-force attack
 #
@@ -207,43 +124,8 @@ def _greedy_assign_loop(dist, tol):
 # lexicographically smallest map.
 # ---------------------------------------------------------------------------
 
-def brute_force_scan_numpy(cands, x, y):
+def brute_force_scan(cands, x, y):
     res = np.abs(y[None, :] - x[cands]) ** 2
     total = res.sum(axis=1)
     idx = int(np.argmin(total))
     return idx, float(total[idx])
-
-
-def _brute_force_scan_loop(cands, x, y):
-    npp = cands.shape[0]
-    size = cands.shape[1]
-    best = np.inf
-    best_idx = 0
-    for p in range(npp):
-        acc = 0.0
-        for n in range(size):
-            d = y[n] - x[cands[p, n]]
-            acc += d.real * d.real + d.imag * d.imag
-        if acc < best:
-            best = acc
-            best_idx = p
-    return best_idx, best
-
-
-if JIT_ENABLED:
-    _axis_gray = njit(cache=True)(_axis_gray_py)
-    demod_points_jit = njit(cache=True)(_demod_points_loop)
-    fisher_yates_jit = njit(cache=True)(_fisher_yates_loop)
-    greedy_assign_jit = njit(cache=True)(_greedy_assign_loop)
-    brute_force_scan_jit = njit(cache=True)(_brute_force_scan_loop)
-
-    demod_points = demod_points_jit
-    fisher_yates = fisher_yates_jit
-    greedy_assign = greedy_assign_jit
-    brute_force_scan = brute_force_scan_jit
-else:
-    _axis_gray = _axis_gray_py
-    demod_points = demod_points_numpy
-    fisher_yates = fisher_yates_numpy
-    greedy_assign = greedy_assign_numpy
-    brute_force_scan = brute_force_scan_numpy

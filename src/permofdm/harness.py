@@ -12,6 +12,7 @@ block or total-bit cap is hit.
 """
 
 import hashlib
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
@@ -109,6 +110,11 @@ def wald_halfwidth(errors: int, n: int) -> float:
     return 1.96 * np.sqrt(p * (1.0 - p) / n)
 
 
+def _check_snr_db(values) -> None:
+    if not all(math.isfinite(v) for v in values):
+        raise ShapeError(f"snr_db must be finite, got {values}")
+
+
 def _derive_key_from_seed(seed: int) -> SecretKey:
     raw = hashlib.sha256(b"permofdm simulation key" + int(seed).to_bytes(8, "big")).digest()
     return SecretKey(raw)
@@ -149,6 +155,12 @@ class BerExperimentConfig:
             raise ShapeError("l_depth must be >= 1")
         if self.blocks < 1:
             raise ShapeError("blocks must be >= 1")
+        QamConstellation.square(self.m)
+        if not 0 <= self.n_cp <= self.n:
+            raise ShapeError(f"n_cp={self.n_cp} outside [0, {self.n}]")
+        if self.min_errors < 0:
+            raise ShapeError("min_errors must be >= 0")
+        _check_snr_db(self.snr_db)
 
     @property
     def symbols_per_block(self) -> int:
@@ -278,10 +290,13 @@ class SerAttackConfig:
             raise ShapeError("seed must be non-negative")
         if self.n < 4 or self.n & (self.n - 1):
             raise ShapeError("n must be a power of two >= 4")
+        for m in self.m_values:
+            QamConstellation.square(m)
         if any(k < 0 or k > self.n for k in self.k_values):
             raise ShapeError("k values must lie in [0, n]")
         if self.trials < 1:
             raise ShapeError("trials must be >= 1")
+        _check_snr_db((self.snr_db,))
 
 
 def mix_samples(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -385,6 +400,7 @@ class AttackRecoveryConfig:
             raise ShapeError("size must be >= 2")
         if self.repeats < 1 or self.trials < 1:
             raise ShapeError("repeats and trials must be >= 1")
+        _check_snr_db((self.snr_db,))
 
     def resolve_key(self) -> SecretKey:
         return self.key if self.key is not None else _derive_key_from_seed(self.seed)
@@ -459,6 +475,7 @@ class SnrAnalysisConfig:
             raise ShapeError("seed must be non-negative")
         if self.blocks < 1:
             raise ShapeError("blocks must be >= 1")
+        _check_snr_db(self.snr_db)
 
 
 def analyze_snr(cfg: SnrAnalysisConfig) -> TrialReport:
@@ -512,6 +529,8 @@ def measure_ici(perm: Permutation, trials: int, n: int, m: int = 4,
                 seed: int = 0) -> IciReport:
     """Estimate alpha_k = E[Y_k d_k*]/sigma_d^2 and the residual power when
     sending QAM data through permute -> FFT with no channel or noise."""
+    if n < 1:
+        raise ShapeError(f"n must be >= 1, got {n}")
     if perm.size % n:
         raise ShapeError(f"permutation size {perm.size} is not a multiple of n={n}")
     if trials < 1:

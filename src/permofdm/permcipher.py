@@ -99,7 +99,11 @@ def derive_permutation(key: SecretKey, block_index: int, size: int) -> Permutati
         raise ShapeError("block_index must fit in an unsigned 64-bit counter")
     if size == 1:
         return Permutation(map=np.zeros(1, dtype=np.int64), block_index=block_index)
-    need = sum((i.bit_length() + 7) // 8 for i in range(1, size))
+    # a draw for i reads one byte per width b with 256**b <= i
+    need, edge = 0, 1
+    while edge < size:
+        need += size - edge
+        edge <<= 8
     n = 4 * need + 64
     while True:
         stream = _keystream(key, block_index, n)

@@ -1,5 +1,7 @@
 """File formats and the command-line front end."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -272,6 +274,31 @@ class TestSimulationCommands:
     def test_negative_seed_refused(self):
         with pytest.raises(SystemExit):
             main(["simulate-ber", "--seed", "-3", "--n", "16", "--blocks", "1"])
+
+    @pytest.mark.parametrize("snr", ["inf", "nan"])
+    @pytest.mark.parametrize("cmd", ["simulate-ber", "simulate-attack-ser",
+                                     "simulate-attack-recovery", "analyze-snr"])
+    def test_non_finite_snr_fails_cleanly(self, tmp_path, capsys, cmd, snr):
+        out = tmp_path / "x.csv"
+        rc = main([cmd, "--seed", "1", "--snr-db", snr, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not out.exists()
+
+    def test_bad_n_cp_fails_before_any_warning(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["simulate-ber", "--seed", "1", "--n", "16", "--n-cp", "-1",
+                       "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: n_cp=-1")
+
+    def test_measure_ici_zero_n_fails_cleanly(self, tmp_path, capsys):
+        rc = main(["measure-ici", "--seed", "0", "--n", "0", "--perm", "identity",
+                   "--out", str(tmp_path / "ici.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_bad_profile_file(self, tmp_path):
         prof = tmp_path / "p.txt"

@@ -168,6 +168,16 @@ class TestBerExperiment:
             BerExperimentConfig(seed=0, channel="rician")
         with pytest.raises(ShapeError):
             BerExperimentConfig(seed=0, blocks=0)
+        for m in (2, 6, 8):
+            with pytest.raises(ShapeError):
+                BerExperimentConfig(seed=0, m=m)
+        for n_cp in (-1, 17):
+            with pytest.raises(ShapeError):
+                BerExperimentConfig(seed=0, n=16, n_cp=n_cp)
+        with pytest.raises(ShapeError):
+            BerExperimentConfig(seed=0, min_errors=-1)
+        BerExperimentConfig(seed=0, n=16, n_cp=0, min_errors=0)
+        BerExperimentConfig(seed=0, n=16, n_cp=16)
 
     def test_symbols_per_block(self):
         assert BerExperimentConfig(seed=0, n=64).symbols_per_block == 64
@@ -181,6 +191,18 @@ class TestBerExperiment:
         b = BerExperimentConfig(seed=5).resolve_key()
         assert a.key_bytes == b.key_bytes
         assert BerExperimentConfig(seed=6).resolve_key().key_bytes != a.key_bytes
+
+
+@pytest.mark.parametrize("build", [
+    lambda snr: BerExperimentConfig(seed=0, snr_db=(10.0, snr)),
+    lambda snr: SerAttackConfig(seed=0, snr_db=snr),
+    lambda snr: AttackRecoveryConfig(seed=0, snr_db=snr),
+    lambda snr: SnrAnalysisConfig(seed=0, snr_db=(snr,)),
+], ids=["ber", "attack-ser", "attack-recovery", "snr-analysis"])
+@pytest.mark.parametrize("snr", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_snr_rejected(build, snr):
+    with pytest.raises(ShapeError, match="finite"):
+        build(snr)
 
 
 class TestSerAttackExperiment:
@@ -208,6 +230,8 @@ class TestSerAttackExperiment:
             SerAttackConfig(seed=0, n=16, k_values=(17,))
         with pytest.raises(ShapeError):
             SerAttackConfig(seed=0, trials=0)
+        with pytest.raises(ShapeError):
+            SerAttackConfig(seed=0, m_values=(4, 6))
 
 
 class TestAttackRecoveryExperiment:
@@ -318,5 +342,7 @@ class TestIciMeasurement:
             measure_ici(perm, trials=10, n=8)
         with pytest.raises(ShapeError):
             measure_ici(Permutation.identity(8), trials=0, n=8)
+        with pytest.raises(ShapeError):
+            measure_ici(Permutation.identity(8), trials=10, n=0)
         with pytest.raises(ShapeError):
             ici_alpha_exact(Permutation.identity(12), 6)
