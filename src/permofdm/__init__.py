@@ -40,7 +40,6 @@ from .errors import (
     SingularChannelError,
 )
 from .attack import (
-    AttackConfig,
     averaging_attack,
     brute_force_attack,
     match_noiseless,
@@ -90,7 +89,7 @@ from .permcipher import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbiguousMatchWarning", "AttackConfig", "AttackRecoveryConfig",
+    "AmbiguousMatchWarning", "AttackRecoveryConfig",
     "BerExperimentConfig", "BruteForceCostError", "CSV_HEADER", "ChannelProfile",
     "ChannelRealization", "EqualizerKind", "FIVE_TAP_PROFILE", "FramingError",
     "IciReport", "IqFormatError", "JIT_ENABLED", "KeyFormatError",

@@ -9,7 +9,6 @@ position n.
 
 import itertools
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,14 +17,6 @@ from .errors import AmbiguousMatchWarning, BruteForceCostError, ShapeError
 from .permcipher import Permutation, keyspace_bits
 
 BRUTE_FORCE_MAX_SIZE = 8
-
-
-@dataclass(frozen=True)
-class AttackConfig:
-    repeats: int = 1
-    snr_db: float = 0.0
-    match_tolerance: float = 1e-9
-    fresh_perm_per_block: bool = False
 
 
 def match_noiseless(x_known: np.ndarray, y_observed: np.ndarray,

@@ -2,18 +2,25 @@
 
 Simulation subcommands demand an explicit seed (no silent
 nondeterminism) and accept a config file of `key = value` lines whose
-entries any command-line flag overrides.  Reports are CSV, written to
---out or stdout.
+entries any command-line flag overrides.  Their flags and config-file
+keys are derived from the fields of the config dataclasses, which hold
+every default.  Reports are CSV, written to --out or stdout.
 """
 
 import argparse
+import dataclasses
+import functools
 import hashlib
+import inspect
 import sys
+import types
+import typing
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .channel import ChannelProfile
-from .equalizer import EqualizerKind
 from .errors import (
     BruteForceCostError,
     IqFormatError,
@@ -34,9 +41,9 @@ from .fileio import (
 from .harness import (
     AttackRecoveryConfig,
     BerExperimentConfig,
-    FIVE_TAP_PROFILE,
     SerAttackConfig,
     SnrAnalysisConfig,
+    _check_seed,
     analyze_snr,
     measure_ici,
     run_attack_recovery_experiment,
@@ -61,38 +68,12 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _merged(args, schema: dict, aliases: dict | None = None) -> dict:
-    """Resolve each option: CLI flag beats config file beats default."""
-    conf = read_config(args.config) if getattr(args, "config", None) else {}
-    for old, new in (aliases or {}).items():
-        if old in conf and new not in conf:
-            conf[new] = conf.pop(old)
-    out = {}
-    for name, (convert, default) in schema.items():
-        cli_val = getattr(args, name, None)
-        if cli_val is not None:
-            out[name] = cli_val
-        elif name in conf:
-            out[name] = convert(conf[name])
-        else:
-            out[name] = default
-    return out
-
-
-def _load_profile(path):
-    return ChannelProfile.from_file(path) if path else FIVE_TAP_PROFILE
-
-
-def _load_key(path):
-    return read_key_file(path) if path else None
-
-
-def _require_seed(parser, value):
-    if value is None:
-        parser.error("--seed is required (set it on the command line or in the config file)")
-    if value < 0:
-        parser.error("--seed must be non-negative")
-    return value
+def _seed(text: str) -> int:
+    """argparse type of every --seed flag."""
+    try:
+        return _check_seed(int(text))
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 def _cmd_keygen(args, parser):
@@ -100,15 +81,10 @@ def _cmd_keygen(args, parser):
     if n < 16:
         parser.error("--bytes must be >= 16")
     if args.seed is not None:
-        blocks = []
-        counter = 0
-        while sum(len(b) for b in blocks) < n:
-            blocks.append(hashlib.sha256(
-                b"permofdm keygen" + int(args.seed).to_bytes(8, "big")
-                + counter.to_bytes(4, "big")
-            ).digest())
-            counter += 1
-        key = SecretKey(b"".join(blocks)[:n])
+        prefix = b"permofdm keygen" + args.seed.to_bytes(8, "big")
+        digests = [hashlib.sha256(prefix + counter.to_bytes(4, "big")).digest()
+                   for counter in range((n + 31) // 32)]
+        key = SecretKey(b"".join(digests)[:n])
     else:
         key = SecretKey.generate(n)
     write_key_file(args.out, key, hex_text=not args.raw)
@@ -140,160 +116,146 @@ def _run_cipher(args, parser, direction):
     return 0
 
 
-def _equalizer_from(opts) -> EqualizerKind:
-    return EqualizerKind(
-        variant=opts["equalizer"],
-        zf_floor=opts["zf_floor"],
-        discard_below=opts["discard_below"],
-        fade_bias=opts["fade_bias"],
-    )
-
-
-_BER_SCHEMA = {
-    "seed": (int, None),
-    "n": (int, 256),
-    "m": (int, 4),
-    "n_cp": (int, 16),
-    "interleaver": (str, "transpose"),
-    "l_depth": (int, 1),
-    "equalizer": (str, "zf"),
-    "zf_floor": (float, 1e-12),
-    "discard_below": (float, None),
-    "fade_bias": (float, None),
-    "snr_db": (parse_float_list, (10.0,)),
-    "blocks": (int, 200),
-    "min_blocks": (int, None),
-    "min_errors": (int, 200),
-    "max_bits": (float, 1e8),
-    "channel": (str, "rayleigh"),
-    "profile": (str, None),
-    "key": (str, None),
-    "workers": (int, 1),
+# What the config dataclasses cannot say about their command-line form.
+_RENAMES = {"variant": "equalizer", "fresh_perm_per_block": "fresh_perm"}  # field -> flag
+_ALIASES = {"k": "repeats", "fresh_perm_per_block": "fresh_perm"}  # config-file key -> flag
+_CHOICES = {
+    "interleaver": ("none", "transpose", "keyed"),
+    "equalizer": ("zf", "mmse"),
+    "channel": ("rayleigh", "awgn"),
+    "perm": ("identity", "reversal", "random", "transpose", "keyed"),
 }
+_PARSERS = {tuple[float, ...]: parse_float_list, tuple[int, ...]: parse_int_list, bool: parse_bool}
+_LOADERS = {ChannelProfile: ChannelProfile.from_file, SecretKey: read_key_file}  # from a path
 
 
-def _cmd_simulate_ber(args, parser):
-    o = _merged(args, _BER_SCHEMA)
-    _require_seed(parser, o["seed"])
-    cfg = BerExperimentConfig(
-        seed=o["seed"], n=o["n"], m=o["m"], n_cp=o["n_cp"],
-        interleaver=o["interleaver"], l_depth=o["l_depth"],
-        equalizer=_equalizer_from(o),
-        snr_db=tuple(o["snr_db"]), blocks=o["blocks"],
-        min_blocks=o["min_blocks"], min_errors=o["min_errors"],
-        max_bits=o["max_bits"], channel=o["channel"],
-        profile=_load_profile(o["profile"]), key=_load_key(o["key"]),
-    )
-    report = run_ber_experiment(cfg, workers=o["workers"])
+def _unwrap(tp):
+    """A field type without its `None` alternative."""
+    if typing.get_origin(tp) in (typing.Union, types.UnionType):
+        (tp,) = (a for a in typing.get_args(tp) if a is not type(None))
+    return tp
+
+
+def _nested(tp) -> bool:
+    return dataclasses.is_dataclass(tp) and tp not in _LOADERS
+
+
+def _parser(tp):
+    """Text -> value for a config-file entry or flag of field type `tp`."""
+    return str if tp in _LOADERS else _PARSERS.get(tp, tp)
+
+
+# Cached because main() builds the parser on every call.
+@functools.cache
+def _options(cls) -> tuple:
+    """(flag dest, type) of each field of a config dataclass, nested ones flattened."""
+    out = ()
+    for f in dataclasses.fields(cls):
+        tp = _unwrap(f.type)
+        out += _options(tp) if _nested(tp) else ((_RENAMES.get(f.name, f.name), tp),)
+    return out
+
+
+@functools.cache
+def _runner_options(runner) -> tuple:
+    """(name, type) of each keyword argument a runner takes after its config."""
+    return tuple((p.name, p.annotation)
+                 for p in list(inspect.signature(runner).parameters.values())[1:])
+
+
+def _add_options(p, options) -> None:
+    p.add_argument("--config")
+    for dest, tp in options:
+        flag = "--" + dest.replace("_", "-")
+        if tp is bool:
+            p.add_argument(flag, action="store_const", const=True)
+        else:
+            p.add_argument(flag, type=_seed if dest == "seed" else _parser(tp),
+                           choices=_CHOICES.get(dest))
+    p.add_argument("--out")
+
+
+def _resolve(args, options) -> dict:
+    """Each option's value from its flag, else from the config file; options
+    set in neither are left out so that the dataclass default applies."""
+    conf = read_config(args.config) if args.config else {}
+    for alias, dest in _ALIASES.items():
+        if alias in conf and dest not in conf:
+            conf[dest] = conf.pop(alias)
+    values = {}
+    for dest, tp in options:
+        if getattr(args, dest) is not None:
+            values[dest] = getattr(args, dest)
+        elif dest in conf:
+            values[dest] = _parser(tp)(conf[dest])
+    return values
+
+
+def _build(parser, cls, values):
+    """cls from resolved option values; a field missing from them keeps its
+    dataclass default, or is a usage error if it has none."""
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        tp = _unwrap(f.type)
+        dest = _RENAMES.get(f.name, f.name)
+        if _nested(tp):
+            kwargs[f.name] = _build(parser, tp, values)
+        elif dest in values:
+            kwargs[f.name] = _LOADERS[tp](values[dest]) if tp in _LOADERS else values[dest]
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            parser.error(f"--{dest.replace('_', '-')} is required "
+                         "(set it on the command line or in the config file)")
+    return cls(**kwargs)
+
+
+def _run_experiment(args, parser, cls, runner):
+    extra = _runner_options(runner)
+    values = _resolve(args, _options(cls) + extra)
+    cfg = _build(parser, cls, values)
+    report = runner(cfg, **{name: values[name] for name, _ in extra if name in values})
     _emit(report.to_csv(), args.out)
     return 0
 
 
-_SER_SCHEMA = {
-    "seed": (int, None),
-    "n": (int, 256),
-    "m_values": (parse_int_list, (4, 16, 64)),
-    "k_values": (parse_int_list, (0, 8, 16, 32, 56, 128, 256)),
-    "snr_db": (float, 30.0),
-    "trials": (int, 400),
-    "workers": (int, 1),
-}
+_EXPERIMENTS = (
+    ("simulate-ber", "Monte-Carlo BER over the fading chain",
+     BerExperimentConfig, run_ber_experiment),
+    ("simulate-attack-ser", "eavesdropper SER vs number of displaced samples",
+     SerAttackConfig, run_ser_attack_experiment),
+    ("simulate-attack-recovery", "noise-averaging permutation recovery attack",
+     AttackRecoveryConfig, run_attack_recovery_experiment),
+    ("analyze-snr", "semi-analytic scrambled-ZF BER", SnrAnalysisConfig, analyze_snr),
+)
 
 
-def _cmd_simulate_attack_ser(args, parser):
-    o = _merged(args, _SER_SCHEMA)
-    _require_seed(parser, o["seed"])
-    cfg = SerAttackConfig(
-        seed=o["seed"], n=o["n"], m_values=tuple(o["m_values"]),
-        k_values=tuple(o["k_values"]), snr_db=o["snr_db"], trials=o["trials"],
-    )
-    report = run_ser_attack_experiment(cfg, workers=o["workers"])
-    _emit(report.to_csv(), args.out)
-    return 0
-
-
-_RECOVERY_SCHEMA = {
-    "seed": (int, None),
-    "size": (int, 64),
-    "snr_db": (float, 0.0),
-    "repeats": (int, 10000),
-    "trials": (int, 20),
-    "fresh_perm": (parse_bool, False),
-    "key": (str, None),
-    "workers": (int, 1),
-}
-
-
-def _cmd_simulate_attack_recovery(args, parser):
-    o = _merged(args, _RECOVERY_SCHEMA,
-                aliases={"k": "repeats", "fresh_perm_per_block": "fresh_perm"})
-    _require_seed(parser, o["seed"])
-    cfg = AttackRecoveryConfig(
-        seed=o["seed"], size=o["size"], snr_db=o["snr_db"],
-        repeats=o["repeats"], trials=o["trials"],
-        fresh_perm_per_block=bool(o["fresh_perm"]), key=_load_key(o["key"]),
-    )
-    report = run_attack_recovery_experiment(cfg, workers=o["workers"])
-    _emit(report.to_csv(), args.out)
-    return 0
-
-
-_SNR_SCHEMA = {
-    "seed": (int, None),
-    "n": (int, 256),
-    "m": (int, 4),
-    "snr_db": (parse_float_list, (10.0,)),
-    "blocks": (int, 200),
-    "profile": (str, None),
-    "zf_floor": (float, 1e-12),
-}
-
-
-def _cmd_analyze_snr(args, parser):
-    o = _merged(args, _SNR_SCHEMA)
-    _require_seed(parser, o["seed"])
-    cfg = SnrAnalysisConfig(
-        seed=o["seed"], n=o["n"], m=o["m"], snr_db=tuple(o["snr_db"]),
-        blocks=o["blocks"], profile=_load_profile(o["profile"]),
-        zf_floor=o["zf_floor"],
-    )
-    _emit(analyze_snr(cfg).to_csv(), args.out)
-    return 0
-
-
-_ICI_SCHEMA = {
-    "seed": (int, None),
-    "n": (int, 256),
-    "m": (int, 4),
-    "trials": (int, 20000),
-    "perm": (str, "random"),
-    "key": (str, None),
-    "ell": (int, 0),
-}
+@dataclass(frozen=True)
+class _IciOptions:
+    seed: int
+    n: int = 256
+    m: int = 4
+    trials: int = 20000
+    perm: str = "random"
+    key: Optional[str] = None  # key file path, read only for perm == "keyed"
+    ell: int = 0
 
 
 def _cmd_measure_ici(args, parser):
-    o = _merged(args, _ICI_SCHEMA)
-    _require_seed(parser, o["seed"])
-    n = o["n"]
-    kind = o["perm"]
-    if kind == "identity":
-        perm = Permutation.identity(n)
-    elif kind == "reversal":
-        perm = Permutation(map=np.arange(n, dtype=np.int64)[::-1].copy())
-    elif kind == "random":
-        perm = Permutation(map=np.random.default_rng((o["seed"], 0xFACE)).permutation(n))
-    elif kind == "transpose":
-        perm = transpose_interleaver(n)
-    elif kind == "keyed":
-        key = _load_key(o["key"])
-        if key is None:
+    o = _build(parser, _IciOptions, _resolve(args, _options(_IciOptions)))
+    if o.perm == "identity":
+        perm = Permutation.identity(o.n)
+    elif o.perm == "reversal":
+        perm = Permutation(map=np.arange(o.n, dtype=np.int64)[::-1].copy())
+    elif o.perm == "random":
+        perm = Permutation(map=np.random.default_rng((o.seed, 0xFACE)).permutation(o.n))
+    elif o.perm == "transpose":
+        perm = transpose_interleaver(o.n)
+    elif o.perm == "keyed":
+        if o.key is None:
             parser.error("--perm keyed needs --key")
-        perm = derive_permutation(key, o["ell"], n)
+        perm = derive_permutation(read_key_file(o.key), o.ell, o.n)
     else:
-        parser.error(f"unknown --perm {kind!r}")
-        return 2
-    report = measure_ici(perm, o["trials"], n, m=o["m"], seed=o["seed"])
+        parser.error(f"unknown --perm {o.perm!r}")
+    report = measure_ici(perm, o.trials, o.n, m=o.m, seed=o.seed)
     lines = ["l,k,alpha_re,alpha_im,alpha_abs2,beta_power"]
     a = report.alpha
     b = report.beta_power
@@ -317,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("keygen", help="generate a key file")
     p.add_argument("--out", required=True)
     p.add_argument("--bytes", dest="n_bytes", type=int, default=32)
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_seed, default=None,
                    help="deterministic key derivation (testing only)")
     p.add_argument("--raw", action="store_true", help="write raw bytes, not hex")
     p.set_defaults(handler=_cmd_keygen)
@@ -332,80 +294,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ell", type=int, default=0, help="starting block counter")
         p.set_defaults(handler=lambda a, pr, d=direction: _run_cipher(a, pr, d))
 
-    p = sub.add_parser("simulate-ber", help="Monte-Carlo BER over the fading chain")
-    p.add_argument("--config")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--n-cp", dest="n_cp", type=int)
-    p.add_argument("--interleaver", choices=["none", "transpose", "keyed"])
-    p.add_argument("--l-depth", dest="l_depth", type=int)
-    p.add_argument("--equalizer", choices=["zf", "mmse"])
-    p.add_argument("--zf-floor", dest="zf_floor", type=float)
-    p.add_argument("--discard-below", dest="discard_below", type=float)
-    p.add_argument("--fade-bias", dest="fade_bias", type=float)
-    p.add_argument("--snr-db", dest="snr_db", type=parse_float_list)
-    p.add_argument("--blocks", type=int)
-    p.add_argument("--min-blocks", dest="min_blocks", type=int)
-    p.add_argument("--min-errors", dest="min_errors", type=int)
-    p.add_argument("--max-bits", dest="max_bits", type=float)
-    p.add_argument("--channel", choices=["rayleigh", "awgn"])
-    p.add_argument("--profile")
-    p.add_argument("--key")
-    p.add_argument("--workers", type=int)
-    p.add_argument("--out")
-    p.set_defaults(handler=_cmd_simulate_ber)
-
-    p = sub.add_parser("simulate-attack-ser",
-                       help="eavesdropper SER vs number of displaced samples")
-    p.add_argument("--config")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--m-values", dest="m_values", type=parse_int_list)
-    p.add_argument("--k-values", dest="k_values", type=parse_int_list)
-    p.add_argument("--snr-db", dest="snr_db", type=float)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--out")
-    p.set_defaults(handler=_cmd_simulate_attack_ser)
-
-    p = sub.add_parser("simulate-attack-recovery",
-                       help="noise-averaging permutation recovery attack")
-    p.add_argument("--config")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--size", type=int)
-    p.add_argument("--snr-db", dest="snr_db", type=float)
-    p.add_argument("--repeats", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--fresh-perm", dest="fresh_perm", action="store_const", const=True)
-    p.add_argument("--key")
-    p.add_argument("--workers", type=int)
-    p.add_argument("--out")
-    p.set_defaults(handler=_cmd_simulate_attack_recovery)
-
-    p = sub.add_parser("analyze-snr", help="semi-analytic scrambled-ZF BER")
-    p.add_argument("--config")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--snr-db", dest="snr_db", type=parse_float_list)
-    p.add_argument("--blocks", type=int)
-    p.add_argument("--profile")
-    p.add_argument("--zf-floor", dest="zf_floor", type=float)
-    p.add_argument("--out")
-    p.set_defaults(handler=_cmd_analyze_snr)
+    for name, help_, cls, runner in _EXPERIMENTS:
+        p = sub.add_parser(name, help=help_)
+        _add_options(p, _options(cls) + _runner_options(runner))
+        p.set_defaults(handler=lambda a, pr, c=cls, r=runner: _run_experiment(a, pr, c, r))
 
     p = sub.add_parser("measure-ici",
                        help="per-subcarrier attenuation/self-interference of a permutation")
-    p.add_argument("--config")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--perm", choices=["identity", "reversal", "random", "transpose", "keyed"])
-    p.add_argument("--key")
-    p.add_argument("--ell", type=int)
-    p.add_argument("--out")
+    _add_options(p, _options(_IciOptions))
     p.set_defaults(handler=_cmd_measure_ici)
 
     return parser
@@ -417,7 +313,7 @@ def main(argv=None) -> int:
     try:
         return args.handler(args, parser)
     except (ShapeError, KeyFormatError, IqFormatError, SingularChannelError,
-            BruteForceCostError, FileNotFoundError, ValueError) as e:
+            BruteForceCostError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

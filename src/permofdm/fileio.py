@@ -3,7 +3,7 @@
 IQ files are headerless little-endian float32, interleaved I,Q per
 complex sample.  Key files hold either hex text (default) or raw bytes.
 Config files are `key = value` lines with `#` comments; values stay
-strings until an experiment schema coerces them.
+strings until the CLI parses them by the type of the config field they set.
 """
 
 from pathlib import Path

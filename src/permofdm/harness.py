@@ -111,8 +111,22 @@ def wald_halfwidth(errors: int, n: int) -> float:
 
 
 def _check_snr_db(values) -> None:
+    if not values:
+        raise ShapeError("snr_db needs at least one value")
     if not all(math.isfinite(v) for v in values):
         raise ShapeError(f"snr_db must be finite, got {values}")
+
+
+def _check_seed(seed: int) -> int:
+    """Key derivations hash the seed as 8 big-endian bytes."""
+    if not 0 <= seed < 2 ** 64:
+        raise ShapeError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
+
+
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ShapeError(f"workers must be >= 1, got {workers}")
 
 
 def _derive_key_from_seed(seed: int) -> SecretKey:
@@ -133,7 +147,7 @@ class BerExperimentConfig:
     interleaver: str = "transpose"  # none | transpose | keyed
     l_depth: int = 1                # symbols per keyed interleaving block
     equalizer: EqualizerKind = field(default_factory=EqualizerKind)
-    snr_db: tuple = (10.0,)
+    snr_db: tuple[float, ...] = (10.0,)
     blocks: int = 200
     min_blocks: Optional[int] = None
     min_errors: int = 200
@@ -143,8 +157,7 @@ class BerExperimentConfig:
     key: Optional[SecretKey] = None
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ShapeError("seed must be non-negative")
+        _check_seed(self.seed)
         if self.n < 4 or self.n & (self.n - 1):
             raise ShapeError("n must be a power of two >= 4")
         if self.interleaver not in ("none", "transpose", "keyed"):
@@ -160,6 +173,10 @@ class BerExperimentConfig:
             raise ShapeError(f"n_cp={self.n_cp} outside [0, {self.n}]")
         if self.min_errors < 0:
             raise ShapeError("min_errors must be >= 0")
+        if self.min_blocks is not None and self.min_blocks < 0:
+            raise ShapeError("min_blocks must be >= 0 when set")
+        if not (math.isfinite(self.max_bits) and self.max_bits > 0):
+            raise ShapeError(f"max_bits must be positive and finite, got {self.max_bits}")
         _check_snr_db(self.snr_db)
 
     @property
@@ -220,6 +237,7 @@ def _ber_block_entry(task):
 
 
 def run_ber_experiment(cfg: BerExperimentConfig, workers: int = 1) -> TrialReport:
+    _check_workers(workers)
     if cfg.channel == "rayleigh":
         # surface CP violations once, up front
         apply_channel_stream(np.zeros(cfg.n, dtype=complex),
@@ -233,7 +251,7 @@ def run_ber_experiment(cfg: BerExperimentConfig, workers: int = 1) -> TrialRepor
             be = nbits = se = nsyms = taken = 0
             start = 0
             stop = False
-            wave = max(1, workers) * 4
+            wave = workers * 4
             while start < cfg.blocks and not stop:
                 tasks = [
                     (cfg, pi, float(snr_db), bi)
@@ -280,16 +298,17 @@ class SerAttackConfig:
 
     seed: int
     n: int = 256
-    m_values: tuple = (4, 16, 64)
-    k_values: tuple = (0, 8, 16, 32, 56, 128, 256)
+    m_values: tuple[int, ...] = (4, 16, 64)
+    k_values: tuple[int, ...] = (0, 8, 16, 32, 56, 128, 256)
     snr_db: float = 30.0
     trials: int = 400  # OFDM symbols per (M, k) point
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ShapeError("seed must be non-negative")
+        _check_seed(self.seed)
         if self.n < 4 or self.n & (self.n - 1):
             raise ShapeError("n must be a power of two >= 4")
+        if not self.m_values or not self.k_values:
+            raise ShapeError("m_values and k_values need at least one value each")
         for m in self.m_values:
             QamConstellation.square(m)
         if any(k < 0 or k > self.n for k in self.k_values):
@@ -337,6 +356,7 @@ def _ser_chunk_entry(task):
 
 
 def run_ser_attack_experiment(cfg: SerAttackConfig, workers: int = 1) -> TrialReport:
+    _check_workers(workers)
     points = [(m, k) for m in cfg.m_values for k in cfg.k_values]
     rows = []
     executor = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
@@ -394,8 +414,7 @@ class AttackRecoveryConfig:
     key: Optional[SecretKey] = None
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ShapeError("seed must be non-negative")
+        _check_seed(self.seed)
         if self.size < 2:
             raise ShapeError("size must be >= 2")
         if self.repeats < 1 or self.trials < 1:
@@ -433,6 +452,7 @@ def _recovery_trial_entry(task):
 
 
 def run_attack_recovery_experiment(cfg: AttackRecoveryConfig, workers: int = 1) -> TrialReport:
+    _check_workers(workers)
     tasks = [(cfg, t) for t in range(cfg.trials)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as ex:
@@ -465,16 +485,17 @@ class SnrAnalysisConfig:
     seed: int
     n: int = 256
     m: int = 4
-    snr_db: tuple = (10.0,)
+    snr_db: tuple[float, ...] = (10.0,)
     blocks: int = 200
     profile: ChannelProfile = FIVE_TAP_PROFILE
     zf_floor: float = 1e-12
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ShapeError("seed must be non-negative")
+        _check_seed(self.seed)
         if self.blocks < 1:
             raise ShapeError("blocks must be >= 1")
+        if self.zf_floor <= 0:
+            raise ShapeError("zf_floor must be positive")
         _check_snr_db(self.snr_db)
 
 

@@ -1,11 +1,31 @@
 """File formats and the command-line front end."""
 
+import argparse
+import dataclasses
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from permofdm import IqFormatError, KeyFormatError, SecretKey
+from permofdm import (
+    AttackRecoveryConfig,
+    BerExperimentConfig,
+    ChannelProfile,
+    EqualizerKind,
+    IqFormatError,
+    KeyFormatError,
+    SecretKey,
+    SerAttackConfig,
+    SnrAnalysisConfig,
+    analyze_snr,
+    run_attack_recovery_experiment,
+    run_ber_experiment,
+    run_ser_attack_experiment,
+)
+from permofdm import cli
 from permofdm.cli import main
 from permofdm.fileio import (
     parse_bool,
@@ -130,6 +150,19 @@ class TestKeygenCommand:
     def test_short_key_refused(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["keygen", "--out", str(tmp_path / "k"), "--bytes", "8"])
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_outside_64_bits_refused(self, tmp_path, capsys, seed):
+        key = tmp_path / "k"
+        with pytest.raises(SystemExit) as exc:
+            main(["keygen", "--out", str(key), "--seed", str(seed)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            f"permofdm keygen: error: argument --seed: seed must be in [0, 2**64), got {seed}"]
+        assert not key.exists()
+        assert main(["keygen", "--out", str(key), "--seed", str(2 ** 64 - 1)]) == 0
 
 
 class TestCipherCommands:
@@ -294,6 +327,34 @@ class TestSimulationCommands:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: n_cp=-1")
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate-ber", "--interleaver", "keyed", "--n", "16", "--blocks", "1"],
+        ["simulate-attack-recovery", "--size", "8", "--repeats", "2", "--trials", "1"],
+    ], ids=["ber-keyed", "attack-recovery"])
+    def test_seed_outside_64_bits_fails_cleanly(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", str(2 ** 64), "--out", str(out)])
+        assert exc.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
+        conf = tmp_path / "c.conf"
+        conf.write_text(f"seed = {2 ** 64}\n")
+        assert main(argv + ["--config", str(conf), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert err == [f"error: seed must be in [0, 2**64), got {2 ** 64}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    @pytest.mark.parametrize("cmd", ["simulate-ber", "simulate-attack-ser",
+                                     "simulate-attack-recovery"])
+    def test_workers_below_one_fail_cleanly(self, tmp_path, capsys, cmd, workers):
+        out = tmp_path / "x.csv"
+        rc = main([cmd, "--seed", "1", "--workers", workers, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert err == [f"error: workers must be >= 1, got {workers}"]
+        assert not out.exists()
+
     def test_measure_ici_zero_n_fails_cleanly(self, tmp_path, capsys):
         rc = main(["measure-ici", "--seed", "0", "--n", "0", "--perm", "identity",
                    "--out", str(tmp_path / "ici.csv")])
@@ -306,3 +367,116 @@ class TestSimulationCommands:
         rc = main(["simulate-ber", "--seed", "1", "--n", "16", "--blocks", "1",
                    "--profile", str(prof), "--out", str(tmp_path / "x.csv")])
         assert rc == 2
+        rc = main(["simulate-ber", "--seed", "1", "--n", "16", "--blocks", "1",
+                   "--profile", str(tmp_path), "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+
+
+PROFILE_FILE = Path(__file__).resolve().parents[1] / "profiles" / "paper_sec6.txt"
+
+# Fields whose flag is not the field name; every other field `a_b` is `--a-b`.
+RENAMED_FLAGS = {"variant": "--equalizer", "fresh_perm_per_block": "--fresh-perm"}
+
+# command -> (config class, runner, argv setting every field away from its
+# default, the same config built directly); `key` is a key file path.
+DERIVED = {
+    "simulate-ber": (
+        BerExperimentConfig, run_ber_experiment,
+        lambda key: ["--seed", "3", "--n", "16", "--m", "16", "--n-cp", "12",
+                     "--interleaver", "keyed", "--l-depth", "2", "--equalizer", "mmse",
+                     "--zf-floor", "1e-6", "--discard-below", "0.01", "--fade-bias", "0.1",
+                     "--snr-db", "5,15", "--blocks", "3", "--min-blocks", "1",
+                     "--min-errors", "5", "--max-bits", "1e5", "--channel", "rayleigh",
+                     "--profile", str(PROFILE_FILE), "--key", key],
+        lambda key: BerExperimentConfig(
+            seed=3, n=16, m=16, n_cp=12, interleaver="keyed", l_depth=2,
+            equalizer=EqualizerKind("mmse", 1e-6, 0.01, 0.1), snr_db=(5.0, 15.0),
+            blocks=3, min_blocks=1, min_errors=5, max_bits=1e5, channel="rayleigh",
+            profile=ChannelProfile.from_file(PROFILE_FILE), key=read_key_file(key)),
+    ),
+    "simulate-attack-ser": (
+        SerAttackConfig, run_ser_attack_experiment,
+        lambda key: ["--seed", "6", "--n", "16", "--m-values", "4,16",
+                     "--k-values", "0,8", "--snr-db", "20", "--trials", "40"],
+        lambda key: SerAttackConfig(seed=6, n=16, m_values=(4, 16), k_values=(0, 8),
+                                    snr_db=20.0, trials=40),
+    ),
+    "simulate-attack-recovery": (
+        AttackRecoveryConfig, run_attack_recovery_experiment,
+        lambda key: ["--seed", "7", "--size", "8", "--snr-db", "5", "--repeats", "16",
+                     "--trials", "3", "--fresh-perm", "--key", key],
+        lambda key: AttackRecoveryConfig(seed=7, size=8, snr_db=5.0, repeats=16, trials=3,
+                                         fresh_perm_per_block=True, key=read_key_file(key)),
+    ),
+    "analyze-snr": (
+        SnrAnalysisConfig, analyze_snr,
+        lambda key: ["--seed", "8", "--n", "16", "--m", "16", "--snr-db", "0,10",
+                     "--blocks", "3", "--profile", str(PROFILE_FILE), "--zf-floor", "1e-3"],
+        lambda key: SnrAnalysisConfig(seed=8, n=16, m=16, snr_db=(0.0, 10.0), blocks=3,
+                                      profile=ChannelProfile.from_file(PROFILE_FILE),
+                                      zf_floor=1e-3),
+    ),
+}
+
+
+def _field_flags(cls):
+    for f in dataclasses.fields(cls):
+        if f.type is EqualizerKind:
+            yield from _field_flags(EqualizerKind)
+        else:
+            yield RENAMED_FLAGS.get(f.name, "--" + f.name.replace("_", "-"))
+
+
+def _subparser(cmd):
+    (sub,) = (a for a in cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[cmd]
+
+
+@pytest.mark.parametrize("cmd", sorted(DERIVED))
+class TestDerivedCommands:
+    def test_one_flag_per_config_field(self, cmd):
+        cls, runner, _, _ = DERIVED[cmd]
+        flags = [opt for a in _subparser(cmd)._actions for opt in a.option_strings]
+        expected = ["-h", "--help", "--config", *_field_flags(cls), "--out"]
+        if runner is not analyze_snr:
+            expected.insert(-1, "--workers")
+        assert sorted(flags) == sorted(expected)
+
+    def test_cli_matches_runner_on_direct_config(self, tmp_path, cmd):
+        _, runner, argv, direct = DERIVED[cmd]
+        key = str(tmp_path / "k.key")
+        assert main(["keygen", "--out", key, "--seed", "11"]) == 0
+        out = tmp_path / "cli.csv"
+        assert main([cmd, *argv(key), "--out", str(out)]) == 0
+        assert out.read_text() == runner(direct(key)).to_csv()
+
+
+def _resolved_config(argv):
+    parser = cli.build_parser()
+    args = parser.parse_args(argv)
+    cls = DERIVED[argv[0]][0]
+    return cli._build(parser, cls, cli._resolve(args, cli._options(cls)))
+
+
+# (command, config-file key, flag, the option read back from the built config)
+PRECEDENCE_CASES = [
+    ("simulate-ber", "blocks", "--blocks", lambda c: c.blocks),
+    ("simulate-ber", "zf-floor", "--zf-floor", lambda c: c.equalizer.zf_floor),
+    ("simulate-attack-ser", "trials", "--trials", lambda c: c.trials),
+    ("simulate-attack-recovery", "k", "--repeats", lambda c: c.repeats),
+    ("analyze-snr", "seed", "--seed", lambda c: c.seed),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(PRECEDENCE_CASES),
+       file_value=st.integers(1, 10 ** 6), flag_value=st.integers(1, 10 ** 6))
+def test_flag_beats_config_file(case, file_value, flag_value):
+    cmd, key, flag, read = case
+    with tempfile.TemporaryDirectory() as d:
+        conf = Path(d) / "c.conf"
+        conf.write_text(f"seed = 1\n{key} = {file_value}\n")
+        argv = [cmd, "--config", str(conf)]
+        assert read(_resolved_config(argv)) == file_value
+        assert read(_resolved_config(argv + [flag, str(flag_value)])) == flag_value

@@ -158,8 +158,9 @@ class TestBerExperiment:
             run_ber_experiment(cfg)
 
     def test_config_validation(self):
-        with pytest.raises(ShapeError):
-            BerExperimentConfig(seed=-1)
+        for seed in (-1, 2 ** 64):
+            with pytest.raises(ShapeError):
+                BerExperimentConfig(seed=seed)
         with pytest.raises(ShapeError):
             BerExperimentConfig(seed=0, n=12)
         with pytest.raises(ShapeError):
@@ -176,7 +177,14 @@ class TestBerExperiment:
                 BerExperimentConfig(seed=0, n=16, n_cp=n_cp)
         with pytest.raises(ShapeError):
             BerExperimentConfig(seed=0, min_errors=-1)
-        BerExperimentConfig(seed=0, n=16, n_cp=0, min_errors=0)
+        with pytest.raises(ShapeError):
+            BerExperimentConfig(seed=0, snr_db=())
+        with pytest.raises(ShapeError):
+            BerExperimentConfig(seed=0, min_blocks=-1)
+        for max_bits in (0, -1.0, float("inf"), float("nan")):
+            with pytest.raises(ShapeError):
+                BerExperimentConfig(seed=0, max_bits=max_bits)
+        BerExperimentConfig(seed=2 ** 64 - 1, n=16, n_cp=0, min_errors=0, min_blocks=0)
         BerExperimentConfig(seed=0, n=16, n_cp=16)
 
     def test_symbols_per_block(self):
@@ -232,6 +240,12 @@ class TestSerAttackExperiment:
             SerAttackConfig(seed=0, trials=0)
         with pytest.raises(ShapeError):
             SerAttackConfig(seed=0, m_values=(4, 6))
+        with pytest.raises(ShapeError):
+            SerAttackConfig(seed=0, m_values=())
+        with pytest.raises(ShapeError):
+            SerAttackConfig(seed=0, k_values=())
+        with pytest.raises(ShapeError):
+            SerAttackConfig(seed=2 ** 64)
 
 
 class TestAttackRecoveryExperiment:
@@ -286,6 +300,15 @@ class TestSnrAnalysis:
                                 blocks=40)
         bers = [p.ber for p in analyze_snr(cfg).points]
         assert bers[0] > bers[1] > bers[2] > 0
+
+    def test_validation(self):
+        for zf_floor in (0.0, -1e-12):
+            with pytest.raises(ShapeError, match="zf_floor"):
+                SnrAnalysisConfig(seed=0, zf_floor=zf_floor)
+        with pytest.raises(ShapeError, match="snr_db"):
+            SnrAnalysisConfig(seed=0, snr_db=())
+        with pytest.raises(ShapeError, match="seed"):
+            SnrAnalysisConfig(seed=2 ** 64)
 
 
 class TestIciMeasurement:
