@@ -179,9 +179,13 @@ def _resolve(args, options) -> dict:
     """Each option's value from its flag, else from the config file; options
     set in neither are left out so that the dataclass default applies."""
     conf = read_config(args.config) if args.config else {}
+    dests = {dest for dest, _ in options}
     for alias, dest in _ALIASES.items():
-        if alias in conf and dest not in conf:
+        if alias in conf and dest in dests and dest not in conf:
             conf[dest] = conf.pop(alias)
+    unknown = sorted(conf.keys() - dests)
+    if unknown:
+        raise ValueError(f"{args.config}: unknown config key {', '.join(unknown)}")
     values = {}
     for dest, tp in options:
         if getattr(args, dest) is not None:

@@ -14,7 +14,9 @@ block or total-bit cap is hit.
 import hashlib
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -129,6 +131,41 @@ def _check_workers(workers: int) -> None:
         raise ShapeError(f"workers must be >= 1, got {workers}")
 
 
+@contextmanager
+def _task_map(workers: int):
+    """Yield imap(entry, tasks), a lazy map whose results come in task order.
+
+    With one worker a task is computed only when its result is taken, so a
+    caller that stops early computes nothing past the stop.  A pool takes
+    the tasks in waves of 4 * workers; the unread rest of a wave is discarded.
+    """
+    _check_workers(workers)
+    if workers == 1:
+        yield map
+        return
+    with ProcessPoolExecutor(max_workers=workers) as executor:
+        def imap(entry, tasks):
+            tasks = iter(tasks)
+            while wave := list(islice(tasks, 4 * workers)):
+                yield from executor.map(entry, wave)
+        yield imap
+
+
+def _draw_symbols(rng: np.random.Generator, const: QamConstellation, shape):
+    """Uniform bits packed MSB first into QAM indices of `shape`: (indices, points)."""
+    k = const.bits_per_symbol
+    bits = rng.integers(0, 2, size=(*shape, k), dtype=np.uint8)
+    idx = bits.astype(np.int64) @ (1 << np.arange(k - 1, -1, -1, dtype=np.int64))
+    return idx, const.points[idx]
+
+
+def _error_counts(tx_idx: np.ndarray, rx_idx: np.ndarray, k: int):
+    """(bit errors, bits, symbol errors, symbols) of k-bit QAM indices."""
+    diff = tx_idx.reshape(-1) ^ rx_idx.reshape(-1)
+    bit_errors = int((diff[:, None] >> np.arange(k, dtype=np.int64) & 1).sum())
+    return bit_errors, diff.size * k, int(np.count_nonzero(diff)), diff.size
+
+
 def _derive_key_from_seed(seed: int) -> SecretKey:
     raw = hashlib.sha256(b"permofdm simulation key" + int(seed).to_bytes(8, "big")).digest()
     return SecretKey(raw)
@@ -210,12 +247,7 @@ def _ber_block_entry(task):
         taps = draw_rayleigh_channel(cfg.profile, rng).taps
     h = freq_response(taps, n)
 
-    k = const.bits_per_symbol
-    bits = rng.integers(0, 2, size=l_eff * n * k, dtype=np.uint8)
-    weights = 1 << np.arange(k - 1, -1, -1, dtype=np.int64)
-    tx_idx = bits.reshape(-1, k).astype(np.int64) @ weights
-    d = const.points[tx_idx].reshape(l_eff, n)
-
+    tx_idx, d = _draw_symbols(rng, const, (l_eff, n))
     x = ifft_modulate(d)
     perm = _block_permutation(cfg, point_index, block_index)
     tx = encrypt_block(x, perm) if perm is not None else x
@@ -229,46 +261,25 @@ def _ber_block_entry(task):
     eq = equalize(un, h, cfg.equalizer, snr=noise.snr)
     s = decrypt_block(eq, perm) if perm is not None else eq
     rx_idx = qam_point_indices(fft_demodulate(s), const)
-
-    sym_errors = int(np.count_nonzero(rx_idx != tx_idx))
-    diff = (rx_idx ^ tx_idx)[:, None] >> np.arange(k - 1, -1, -1, dtype=np.int64) & 1
-    bit_errors = int(diff.sum())
-    return bit_errors, bits.size, sym_errors, int(tx_idx.size)
+    return _error_counts(tx_idx, rx_idx, const.bits_per_symbol)
 
 
 def run_ber_experiment(cfg: BerExperimentConfig, workers: int = 1) -> TrialReport:
-    _check_workers(workers)
-    if cfg.channel == "rayleigh":
-        # surface CP violations once, up front
-        apply_channel_stream(np.zeros(cfg.n, dtype=complex),
-                             np.zeros(cfg.profile.max_delay + 1, dtype=complex),
-                             n_cp=cfg.n_cp)
     min_blocks = cfg.min_blocks if cfg.min_blocks is not None else min(200, cfg.blocks)
     rows = []
-    executor = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
+    with _task_map(workers) as imap:
+        if cfg.channel == "rayleigh":
+            # surface CP violations once, up front
+            apply_channel_stream(np.zeros(cfg.n, dtype=complex),
+                                 np.zeros(cfg.profile.max_delay + 1, dtype=complex),
+                                 n_cp=cfg.n_cp)
         for pi, snr_db in enumerate(cfg.snr_db):
-            be = nbits = se = nsyms = taken = 0
-            start = 0
-            stop = False
-            wave = workers * 4
-            while start < cfg.blocks and not stop:
-                tasks = [
-                    (cfg, pi, float(snr_db), bi)
-                    for bi in range(start, min(start + wave, cfg.blocks))
-                ]
-                results = (
-                    list(executor.map(_ber_block_entry, tasks))
-                    if executor is not None
-                    else [_ber_block_entry(t) for t in tasks]
-                )
-                for r in results:
-                    be += r[0]; nbits += r[1]; se += r[2]; nsyms += r[3]
-                    taken += 1
-                    if (taken >= min_blocks and be >= cfg.min_errors) or nbits >= cfg.max_bits:
-                        stop = True
-                        break
-                start += len(tasks)
+            be = nbits = se = nsyms = 0
+            tasks = ((cfg, pi, float(snr_db), bi) for bi in range(cfg.blocks))
+            for taken, r in enumerate(imap(_ber_block_entry, tasks), 1):
+                be += r[0]; nbits += r[1]; se += r[2]; nsyms += r[3]
+                if (taken >= min_blocks and be >= cfg.min_errors) or nbits >= cfg.max_bits:
+                    break
             rows.append(PointResult(
                 experiment="ber",
                 n=cfg.n, m=cfg.m,
@@ -280,9 +291,6 @@ def run_ber_experiment(cfg: BerExperimentConfig, workers: int = 1) -> TrialRepor
                 symbol_errors=se, ser=se / nsyms if nsyms else 0.0,
                 ci95=wald_halfwidth(be, nbits),
             ))
-    finally:
-        if executor is not None:
-            executor.shutdown()
     return TrialReport(points=tuple(rows))
 
 
@@ -335,50 +343,26 @@ def _ser_chunk_entry(task):
     cfg, point_index, m, k_mixed, chunk_index, count = task
     rng = np.random.default_rng((cfg.seed, point_index, chunk_index))
     const = QamConstellation.square(m)
-    kbits = const.bits_per_symbol
-    n = cfg.n
     noise = NoiseSpec.from_snr_db(cfg.snr_db)
 
-    bits = rng.integers(0, 2, size=(count, n * kbits), dtype=np.uint8)
-    weights = 1 << np.arange(kbits - 1, -1, -1, dtype=np.int64)
-    tx_idx = bits.reshape(count, n, kbits).astype(np.int64) @ weights
-    d = const.points[tx_idx]
+    tx_idx, d = _draw_symbols(rng, const, (count, cfg.n))
     x = ifft_modulate(d)
     mixed = np.empty_like(x)
     for t in range(count):
         mixed[t] = mix_samples(x[t], k_mixed, rng)
     y = add_awgn(mixed, noise, rng)
-    rx_idx = qam_point_indices(fft_demodulate(y), const).reshape(count, n)
-
-    sym_errors = int(np.count_nonzero(rx_idx != tx_idx))
-    diff = (rx_idx ^ tx_idx)[..., None] >> np.arange(kbits - 1, -1, -1, dtype=np.int64) & 1
-    return int(diff.sum()), int(bits.size), sym_errors, int(tx_idx.size)
+    rx_idx = qam_point_indices(fft_demodulate(y), const)
+    return _error_counts(tx_idx, rx_idx, const.bits_per_symbol)
 
 
 def run_ser_attack_experiment(cfg: SerAttackConfig, workers: int = 1) -> TrialReport:
-    _check_workers(workers)
     points = [(m, k) for m in cfg.m_values for k in cfg.k_values]
     rows = []
-    executor = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
+    with _task_map(workers) as imap:
         for pi, (m, k) in enumerate(points):
-            tasks = []
-            done = 0
-            ci = 0
-            while done < cfg.trials:
-                count = min(_SER_CHUNK, cfg.trials - done)
-                tasks.append((cfg, pi, m, k, ci, count))
-                done += count
-                ci += 1
-            results = (
-                list(executor.map(_ser_chunk_entry, tasks))
-                if executor is not None
-                else [_ser_chunk_entry(t) for t in tasks]
-            )
-            be = sum(r[0] for r in results)
-            nbits = sum(r[1] for r in results)
-            se = sum(r[2] for r in results)
-            nsyms = sum(r[3] for r in results)
+            tasks = [(cfg, pi, m, k, ci, min(_SER_CHUNK, cfg.trials - start))
+                     for ci, start in enumerate(range(0, cfg.trials, _SER_CHUNK))]
+            be, nbits, se, nsyms = map(sum, zip(*imap(_ser_chunk_entry, tasks)))
             rows.append(PointResult(
                 experiment="attack-ser",
                 n=cfg.n, m=m,
@@ -389,9 +373,6 @@ def run_ser_attack_experiment(cfg: SerAttackConfig, workers: int = 1) -> TrialRe
                 symbol_errors=se, ser=se / nsyms if nsyms else 0.0,
                 ci95=wald_halfwidth(se, nsyms),
             ))
-    finally:
-        if executor is not None:
-            executor.shutdown()
     return TrialReport(points=tuple(rows))
 
 
@@ -452,15 +433,9 @@ def _recovery_trial_entry(task):
 
 
 def run_attack_recovery_experiment(cfg: AttackRecoveryConfig, workers: int = 1) -> TrialReport:
-    _check_workers(workers)
-    tasks = [(cfg, t) for t in range(cfg.trials)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(_recovery_trial_entry, tasks))
-    else:
-        results = [_recovery_trial_entry(t) for t in tasks]
-    hits = sum(r[0] for r in results)
-    total = sum(r[1] for r in results)
+    with _task_map(workers) as imap:
+        tasks = ((cfg, t) for t in range(cfg.trials))
+        hits, total = map(sum, zip(*imap(_recovery_trial_entry, tasks)))
     misses = total - hits
     row = PointResult(
         experiment="attack-recovery",
@@ -492,6 +467,7 @@ class SnrAnalysisConfig:
 
     def __post_init__(self):
         _check_seed(self.seed)
+        QamConstellation.square(self.m)
         if self.blocks < 1:
             raise ShapeError("blocks must be >= 1")
         if self.zf_floor <= 0:

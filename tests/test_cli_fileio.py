@@ -284,6 +284,18 @@ class TestSimulationCommands:
         assert row[3] == "fresh"
         assert row[6] == "32"  # k_mixed column carries the repeat count
 
+    @pytest.mark.parametrize("cmd", ["simulate-ber", "simulate-attack-ser",
+                                     "simulate-attack-recovery", "analyze-snr",
+                                     "measure-ici"])
+    def test_unknown_config_key_fails_cleanly(self, tmp_path, capsys, cmd):
+        conf = tmp_path / "typo.conf"
+        conf.write_text("seed = 1\nblocsk = 5\n")
+        out = tmp_path / "x.csv"
+        assert main([cmd, "--config", str(conf), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and err[0].startswith("error:") and "blocsk" in err[0]
+        assert not out.exists()
+
     def test_measure_ici_identity_output(self, tmp_path):
         out = tmp_path / "ici.csv"
         rc = main(["measure-ici", "--seed", "0", "--n", "8", "--trials", "64",

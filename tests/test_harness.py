@@ -4,6 +4,7 @@ formatting, sample-mixing model, and per-subcarrier mixing measurement."""
 import numpy as np
 import pytest
 
+from permofdm import harness
 from permofdm import (
     CSV_HEADER,
     FIVE_TAP_PROFILE,
@@ -150,6 +151,33 @@ class TestBerExperiment:
         b = run_ber_experiment(cfg).to_csv()
         c = run_ber_experiment(cfg, workers=2).to_csv()
         assert a == b == c
+        # the points stop on the error budget after 2, 7, 9 and 13 blocks,
+        # inside the first or second pool wave of 8 (2 workers) or 12 blocks
+        cfg = BerExperimentConfig(seed=31, n=32, interleaver="keyed", blocks=40,
+                                  snr_db=(0.0, 10.0, 12.0, 16.0), min_blocks=0,
+                                  min_errors=30)
+        a = run_ber_experiment(cfg)
+        assert [p.trials for p in a.points] == [2, 7, 9, 13]
+        for workers in (2, 3):
+            assert run_ber_experiment(cfg, workers=workers).to_csv() == a.to_csv()
+
+    @pytest.mark.parametrize("cfg", [
+        BerExperimentConfig(seed=13, n=64, snr_db=(40.0,), blocks=60,
+                            min_blocks=5, min_errors=10 ** 9, max_bits=10000),
+        BerExperimentConfig(seed=13, n=64, snr_db=(0.0,), blocks=60,
+                            min_blocks=4, min_errors=100),
+    ], ids=["bit-cap", "error-budget"])
+    def test_one_worker_computes_only_the_blocks_taken(self, monkeypatch, cfg):
+        calls = [0]
+        entry = harness._ber_block_entry
+
+        def counting(task):
+            calls[0] += 1
+            return entry(task)
+
+        monkeypatch.setattr(harness, "_ber_block_entry", counting)
+        report = run_ber_experiment(cfg)
+        assert calls[0] == sum(p.trials for p in report.points)
 
     def test_cp_shorter_than_channel_warns(self):
         cfg = BerExperimentConfig(seed=15, n=16, n_cp=8, snr_db=(10.0,),
@@ -309,6 +337,9 @@ class TestSnrAnalysis:
             SnrAnalysisConfig(seed=0, snr_db=())
         with pytest.raises(ShapeError, match="seed"):
             SnrAnalysisConfig(seed=2 ** 64)
+        for m in (3, 8):
+            with pytest.raises(ShapeError, match="M must be"):
+                SnrAnalysisConfig(seed=0, m=m)
 
 
 class TestIciMeasurement:
