@@ -81,6 +81,7 @@ from .permcipher import (
     SecretKey,
     decrypt_block,
     derive_permutation,
+    derive_permutations,
     encrypt_block,
     keyspace_bits,
     transpose_interleaver,
@@ -99,7 +100,8 @@ __all__ = [
     "add_awgn", "add_cp", "analyze_snr", "apply_channel_stream",
     "averaging_attack", "ber_awgn_qam", "binary_to_gray",
     "brute_force_attack", "conditional_snr_zf", "decrypt_block",
-    "derive_permutation", "draw_rayleigh_channel", "encrypt_block",
+    "derive_permutation", "derive_permutations", "draw_rayleigh_channel",
+    "encrypt_block",
     "equalize", "equalizer_weights", "fft_demodulate", "freq_response",
     "gray_to_binary", "ici_alpha_exact", "ifft_modulate", "keyspace_bits",
     "match_noiseless", "measure_ici", "mix_samples", "noise_mixing_row",

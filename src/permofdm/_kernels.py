@@ -1,8 +1,10 @@
 """Hot inner loops in numpy and plain Python.
 
-There is one implementation per kernel.  ``JIT_ENABLED`` is always False:
-the package compiles nothing, and the constant stays only because run
-records report it.
+There is one implementation per kernel, except that the Fisher-Yates draw
+rule has two loops: ``fisher_yates`` for one stream and
+``fisher_yates_lockstep`` for many short ones at once.  ``JIT_ENABLED`` is
+always False: the package compiles nothing, and the constant stays only
+because run records report it.
 """
 
 import numpy as np
@@ -82,11 +84,101 @@ def _words(stream, pos, nbytes):
     if nbytes == 1:
         return stream[pos:].tobytes()  # indexing bytes yields ints directly
     k = (stream.shape[0] - pos) // nbytes
-    rows = stream[pos:pos + k * nbytes].reshape(k, nbytes)
+    return _join_bytes(stream[pos:pos + k * nbytes].reshape(k, nbytes)).tolist()
+
+
+def _join_bytes(groups):
+    """(..., nbytes) uint8 groups as big-endian ints of the next numpy width."""
+    nbytes = groups.shape[-1]
     width = 1 << (nbytes - 1).bit_length()  # numpy has no 3-, 5-, 6- or 7-byte ints
     if width != nbytes:
-        rows = np.pad(rows, ((0, 0), (width - nbytes, 0)))
-    return rows.view(f">u{width}").ravel().tolist()
+        pad = [(0, 0)] * (groups.ndim - 1) + [(width - nbytes, 0)]
+        groups = np.pad(groups, pad)
+    return groups.view(f">u{width}")[..., 0]
+
+
+# ---------------------------------------------------------------------------
+# lockstep Fisher-Yates over B streams at once (Knuth's Algorithm P, batched)
+#
+# Row r of streams (B, n) drives the same draw rule as fisher_yates.  Per
+# byte-width band each row's unread bytes are split into words once, held
+# transposed as (K, B) in their narrow width, and the rows step over word
+# columns together: a row still inside the band tests its next word against
+# its own i and decrements i on acceptance.  A row's draw for i is kept in
+# draws[i], written every step: a rejected word is overwritten by the
+# accepted one, since the row stays at i until it accepts; a row past the
+# band writes draws[low - 1], which the next band overwrites, and a row that
+# is done writes draws[0], which no swap reads.  The swaps run afterwards,
+# one fancy-index swap across all rows per i.  A row that runs out of words
+# gets ok False, draws[i] = i from its stalled i down (no swap), and so keeps
+# the swaps drawn so far, as fisher_yates does.
+# ---------------------------------------------------------------------------
+
+def fisher_yates_lockstep(streams, size):
+    B, n = streams.shape
+    cols = np.arange(B)
+    draws = np.empty((size, B), dtype=np.int64)
+    draws[:] = np.arange(size)[:, None]  # j == i is no swap
+    ok = np.ones(B, dtype=bool)
+    i = np.full(B, size - 1, dtype=np.int64)
+    pos = np.zeros(B, dtype=np.int64)
+    masks = np.zeros(size, dtype=np.int64)
+    for b in range(1, size.bit_length() + 1):
+        masks[1 << (b - 1):1 << b] = (1 << b) - 1
+    top = max(size - 1, 0).bit_length()
+    while top:
+        nbytes = (top + 7) >> 3
+        floor = 8 * nbytes - 8
+        low = 1 << floor
+        avail = (n - pos) // nbytes
+        words = _band_words(streams, pos, nbytes, int(avail.max()))
+        cuts = set(avail.tolist())
+        used = np.zeros(B, dtype=np.int64)
+        for k in range(words.shape[0] + 1):
+            if k in cuts:
+                dead = np.flatnonzero((avail == k) & (i >= low))
+                draws[i[dead], dead] = i[dead]
+                ok[dead] = False
+                i[dead] = 0
+            if k == words.shape[0]:
+                break
+            live = i >= low
+            if not live.any():
+                break
+            used += live
+            v = words[k] & masks[i]
+            draws[i, cols] = v
+            i -= live & (v <= i)
+        pos += used * nbytes
+        top = floor
+    perms = np.tile(np.arange(size, dtype=np.int64), (B, 1))
+    for step in range(size - 1, 0, -1):
+        j = draws[step]
+        held = perms[:, step].copy()
+        perms[:, step] = perms[cols, j]
+        perms[cols, j] = held
+    return perms, ok
+
+
+def _band_words(streams, pos, nbytes, k):
+    """(k, B) big-endian nbytes-wide words of each row's bytes from pos on.
+
+    Words past a row's end read as zeros; the caller knows where each row
+    ends.  Rows all at byte 0, as in the first band, need no gather.
+    """
+    B, n = streams.shape
+    lo, hi = int(pos.min()), int(pos.max())
+    if lo == hi:
+        rest = streams[:, lo:lo + k * nbytes]
+    else:
+        padded = np.zeros((B, max(n, hi + k * nbytes)), dtype=np.uint8)
+        padded[:, :n] = streams
+        windows = np.lib.stride_tricks.sliding_window_view(padded, k * nbytes, axis=1)
+        rest = windows[np.arange(B), pos]
+    if nbytes == 1:
+        return np.ascontiguousarray(rest.T)
+    words = _join_bytes(rest.reshape(B, k, nbytes))
+    return np.ascontiguousarray(words.T, dtype=words.dtype.newbyteorder("="))
 
 
 # ---------------------------------------------------------------------------

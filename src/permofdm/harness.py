@@ -44,6 +44,7 @@ from .permcipher import (
     SecretKey,
     decrypt_block,
     derive_permutation,
+    derive_permutations,
     encrypt_block,
     transpose_interleaver,
 )
@@ -416,13 +417,9 @@ def _recovery_trial_entry(task):
 
     base = trial_index * cfg.repeats
     if cfg.fresh_perm_per_block:
-        obs = np.empty((cfg.repeats, size), dtype=np.complex128)
-        truth = None
-        for t in range(cfg.repeats):
-            p = derive_permutation(key, base + t, size)
-            if truth is None:
-                truth = p
-            obs[t] = encrypt_block(x, p)
+        maps = derive_permutations(key, range(base, base + cfg.repeats), size)
+        truth = Permutation(map=maps[0], block_index=base)
+        obs = x[maps]
     else:
         truth = derive_permutation(key, base, size)
         obs = np.broadcast_to(encrypt_block(x, truth), (cfg.repeats, size)).copy()

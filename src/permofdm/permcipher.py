@@ -15,6 +15,11 @@ Key schedule (pinned so independent implementations interoperate):
 
 The keystream is prefix-stable, so running out of bytes and retrying with
 a longer stream replays the same shuffle.
+
+``derive_permutation`` shuffles one block; ``derive_permutations`` shuffles
+many blocks in one lockstep pass and gives the same maps.  The batched call
+is faster only for many small blocks, so callers that need one block at a
+time, or a few large ones, use ``derive_permutation``.
 """
 
 import hashlib
@@ -83,34 +88,79 @@ class Permutation:
         return cls(map=np.arange(size, dtype=np.int64))
 
 
-def _keystream(key: SecretKey, block_index: int, n: int) -> np.ndarray:
-    seed = hashlib.sha256(
-        key.key_bytes + int(block_index).to_bytes(8, "big")
-    ).digest()
-    enc = Cipher(algorithms.AES(seed), modes.CTR(b"\x00" * 16)).encryptor()
-    return np.frombuffer(enc.update(b"\x00" * n), dtype=np.uint8)
+# Zero nonce for every block's AES-CTR; a mode object holds no stream state,
+# so one instance serves every encryptor.
+_CTR = modes.CTR(b"\x00" * 16)
+
+
+def _keystreams(key: SecretKey, ells, n: int) -> np.ndarray:
+    """(B, n) uint8: the first n keystream bytes of each block in ells."""
+    zeros = bytes(n)
+    streams = []
+    for ell in ells:
+        seed = hashlib.sha256(key.key_bytes + ell.to_bytes(8, "big")).digest()
+        streams.append(Cipher(algorithms.AES(seed), _CTR).encryptor().update(zeros))
+    return np.frombuffer(b"".join(streams), dtype=np.uint8).reshape(len(streams), n)
+
+
+def _stream_bytes(size: int) -> int:
+    """Keystream bytes that a rejection-free shuffle of `size` reads.
+
+    A draw for i reads one byte per width b with 256**b <= i, so the total
+    is the sum over 256**b < size of (size - 256**b).
+    """
+    need, edge = 0, 1
+    while edge < size:
+        need += size - edge
+        edge <<= 8
+    return need
+
+
+def _check_block_index(ell) -> int:
+    if not 0 <= ell < 1 << 64:
+        raise ShapeError("block_index must fit in an unsigned 64-bit counter")
+    return int(ell)
+
+
+def _shuffle(key: SecretKey, ell: int, size: int, n: int) -> np.ndarray:
+    """One block's map from an n-byte keystream, doubling n until it suffices."""
+    while True:
+        perm, _, ok = _kernels.fisher_yates(_keystreams(key, (ell,), n)[0], size)
+        if ok:
+            return perm
+        n *= 2
 
 
 def derive_permutation(key: SecretKey, block_index: int, size: int) -> Permutation:
     """Deterministic keyed permutation for one interleaving block."""
     if size < 1:
         raise ShapeError(f"size must be >= 1, got {size}")
-    if not 0 <= block_index < 1 << 64:
-        raise ShapeError("block_index must fit in an unsigned 64-bit counter")
+    block_index = _check_block_index(block_index)
     if size == 1:
         return Permutation(map=np.zeros(1, dtype=np.int64), block_index=block_index)
-    # a draw for i reads one byte per width b with 256**b <= i
-    need, edge = 0, 1
-    while edge < size:
-        need += size - edge
-        edge <<= 8
-    n = 4 * need + 64
-    while True:
-        stream = _keystream(key, block_index, n)
-        perm, _, ok = _kernels.fisher_yates(stream, size)
-        if ok:
-            return Permutation(map=perm, block_index=block_index)
-        n *= 2
+    perm = _shuffle(key, block_index, size, 4 * _stream_bytes(size) + 64)
+    return Permutation(map=perm, block_index=block_index)
+
+
+def derive_permutations(key: SecretKey, ells, size: int) -> np.ndarray:
+    """Row r is derive_permutation(key, ells[r], size).map; shape (B, size).
+
+    All blocks are shuffled in one lockstep pass, which pays off for many
+    small blocks; for one block, or a few large ones, derive_permutation
+    is faster.
+    """
+    if size < 1:
+        raise ShapeError(f"size must be >= 1, got {size}")
+    ells = [_check_block_index(ell) for ell in ells]
+    if size == 1 or not ells:
+        return np.zeros((len(ells), size), dtype=np.int64)
+    n = 4 * _stream_bytes(size) + 64
+    maps, ok = _kernels.fisher_yates_lockstep(_keystreams(key, ells, n), size)
+    for r in np.flatnonzero(~ok):
+        maps[r] = _shuffle(key, ells[r], size, 2 * n)
+    if not (np.sort(maps, axis=1) == np.arange(size)).all():
+        raise ShapeError("a derived map is not a permutation of 0..size-1")
+    return maps
 
 
 def transpose_interleaver(n: int) -> Permutation:

@@ -300,6 +300,33 @@ class TestAttackRecoveryExperiment:
         assert (run_attack_recovery_experiment(cfg).to_csv()
                 == run_attack_recovery_experiment(cfg, workers=2).to_csv())
 
+    # rows captured when every observation's map came from its own
+    # derive_permutation call; sizes 257 and 2 cross a byte-width edge and
+    # sit at the smallest size
+    GOLDEN = [
+        (dict(seed=34, size=64, snr_db=0.0, repeats=300, trials=3,
+              fresh_perm_per_block=True),
+         "attack-recovery,64,0,fresh,none,0,300,192,0,0,190,0.989583,0.0143614"),
+        (dict(seed=35, size=257, snr_db=20.0, repeats=40, trials=3,
+              fresh_perm_per_block=True),
+         "attack-recovery,257,0,fresh,none,20,40,771,0,0,764,0.990921,0.0066953"),
+        (dict(seed=36, size=16, snr_db=5.0, repeats=500, trials=4,
+              fresh_perm_per_block=True, key=KEY),
+         "attack-recovery,16,0,fresh,none,5,500,64,0,0,61,0.953125,0.0517859"),
+        (dict(seed=38, size=2, snr_db=-5.0, repeats=30, trials=5,
+              fresh_perm_per_block=True),
+         "attack-recovery,2,0,fresh,none,-5,30,10,0,0,4,0.4,0.303642"),
+        (dict(seed=37, size=64, snr_db=0.0, repeats=200, trials=3),
+         "attack-recovery,64,0,fixed,none,0,200,192,0,0,19,0.0989583,0.0422381"),
+    ]
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_csv_matches_golden_rows(self, workers):
+        for kwargs, row in self.GOLDEN:
+            cfg = AttackRecoveryConfig(**kwargs)
+            csv = run_attack_recovery_experiment(cfg, workers=workers).to_csv()
+            assert csv == CSV_HEADER + "\n" + row + "\n", kwargs
+
 
 class TestSnrAnalysis:
     def test_matches_manual_ensemble(self):

@@ -1,6 +1,7 @@
 """Kernel-level checks against slow reference oracles."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from permofdm import _kernels
@@ -141,6 +142,82 @@ class TestFisherYates:
         n = int(fill * _need(size)) + 1
         stream = np.random.default_rng(seed).integers(0, 256, n, dtype=np.uint8)
         _assert_matches_reference(stream, size)
+
+
+def _assert_lockstep_matches_scalar(streams, size):
+    perms, ok = _kernels.fisher_yates_lockstep(streams, size)
+    assert perms.shape == (streams.shape[0], size) and perms.dtype == np.int64
+    assert ok.shape == (streams.shape[0],)
+    for stream, perm, row_ok in zip(streams, perms, ok):
+        want, _, want_ok = _kernels.fisher_yates(stream, size)
+        assert row_ok == want_ok
+        assert np.array_equal(perm, want)
+    return ok
+
+
+def _bands(size):
+    """(word bytes, first byte, draw count) per band when every draw is j = 0."""
+    starts, pos, i = [], 0, size - 1
+    while i >= 1:
+        nbytes = (i.bit_length() + 7) >> 3
+        low = 1 << (8 * nbytes - 8)
+        starts.append((nbytes, pos, i - low + 1))
+        pos += nbytes * (i - low + 1)
+        i = low - 1
+    return starts
+
+
+class TestFisherYatesLockstep:
+    def test_hand_worked_rows(self):
+        # row 0 is TestFisherYates' rejection example; row 1 accepts its
+        # first word (i=2 -> j=0 swap; i=1 reads 0x01 & 1 -> j=1 no-op), so
+        # the rows step out of phase and row 1 leaves its last byte unread
+        streams = np.array([[0xFF, 0x02, 0x00], [0x00, 0x01, 0x00]], dtype=np.uint8)
+        perms, ok = _kernels.fisher_yates_lockstep(streams, 3)
+        assert ok.tolist() == [True, True]
+        assert perms.tolist() == [[1, 0, 2], [2, 1, 0]]
+
+    @settings(max_examples=200, deadline=None)
+    @given(size=st.one_of(st.sampled_from((1, 2, 255, 256, 257)), st.integers(1, 700)),
+           rows=st.integers(1, 4), data=st.data())
+    def test_rows_match_scalar_on_arbitrary_matrices(self, size, rows, data):
+        # short or rejection-heavy rows take the ok=False path
+        n = data.draw(st.integers(0, 3000 // rows))
+        raw = data.draw(st.binary(min_size=rows * n, max_size=rows * n))
+        streams = np.frombuffer(raw, dtype=np.uint8).reshape(rows, n)
+        _assert_lockstep_matches_scalar(streams, size)
+
+    @pytest.mark.parametrize("size", (255, 256, 257, 65537))
+    def test_rows_running_out_in_every_band(self, size):
+        # A zero word is always accepted (j = 0), so a zero prefix walks the
+        # draws at a known byte rate; the 0xff tail after it is rejected by
+        # every i that is not 2**b - 1, so the row runs out in the band where
+        # its prefix ends.  Random rows and an all-zero row finish.
+        n = 2 * _need(size) + 64
+        rng = np.random.default_rng(size)
+        rows = [rng.integers(0, 256, n, dtype=np.uint8) for _ in range(2)]
+        rows.append(np.zeros(n, dtype=np.uint8))
+        for nbytes, start, count in _bands(size):
+            for cut in (start, start + nbytes * (count // 2)):
+                row = np.full(n, 0xFF, dtype=np.uint8)
+                row[:cut] = 0
+                rows.append(row)
+        ok = _assert_lockstep_matches_scalar(np.stack(rows), size)
+        assert ok[:3].all() and not ok[3:].any()
+
+    def test_rows_at_different_offsets_in_later_bands(self):
+        # rows reach the 1-byte band of size 300 after different numbers of
+        # rejected 2-byte words, so the band's words need a per-row gather
+        size, n = 300, 700
+        rng = np.random.default_rng(5)
+        rows = rng.integers(0, 256, (6, n), dtype=np.uint8)
+        for r in range(6):
+            rows[r, :2 * r] = 0xFF  # i = 299 rejects 0x01ff; r words wasted
+        _assert_lockstep_matches_scalar(rows, size)
+
+    def test_empty_rows_run_out(self):
+        ok = _assert_lockstep_matches_scalar(np.zeros((3, 0), dtype=np.uint8), 5)
+        assert not ok.any()
 
 
 class TestGreedyAssign:

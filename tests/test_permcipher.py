@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from permofdm import permcipher
 from permofdm import (
     KeyFormatError,
     Permutation,
@@ -15,6 +16,7 @@ from permofdm import (
     ShapeError,
     decrypt_block,
     derive_permutation,
+    derive_permutations,
     encrypt_block,
     fft_demodulate,
     ifft_modulate,
@@ -29,17 +31,25 @@ VECTORS = Path(__file__).resolve().parents[1] / "vectors" / "permutation_vectors
 KEY = SecretKey(bytes(range(32)))
 
 
+def _frozen_vectors():
+    """(size, key hex, block index, map) for each line of the vector file."""
+    vectors = []
+    for raw in VECTORS.read_text().splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        size, keyhex, ell = int(parts[0]), parts[1], int(parts[2])
+        want = np.array([int(v) for v in parts[3:]], dtype=np.int64)
+        assert want.size == size
+        vectors.append((size, keyhex, ell, want))
+    return vectors
+
+
 class TestDerivation:
     def test_frozen_vectors(self):
         count = 0
-        for raw in VECTORS.read_text().splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            size, keyhex, ell = int(parts[0]), parts[1], int(parts[2])
-            want = np.array([int(v) for v in parts[3:]], dtype=np.int64)
-            assert want.size == size
+        for size, keyhex, ell, want in _frozen_vectors():
             got = derive_permutation(SecretKey.from_hex(keyhex), ell, size)
             assert np.array_equal(got.map, want), (size, ell)
             count += 1
@@ -93,6 +103,63 @@ class TestDerivation:
             SecretKey(b"short")
         with pytest.raises(KeyFormatError):
             SecretKey.from_hex("zz" * 16)
+
+
+class TestBatchedDerivation:
+    @pytest.mark.parametrize("size", (1, 2, 64, 255, 256, 257, 4096))
+    def test_rows_match_single_derivations(self, size):
+        ells = [0, 1, 7, 2**32, 2**64 - 2, 2**64 - 1]
+        want = np.stack([derive_permutation(KEY, ell, size).map for ell in ells])
+        got = derive_permutations(KEY, ells, size)
+        assert got.shape == (len(ells), size) and got.dtype == np.int64
+        assert np.array_equal(got, want)
+
+    def test_frozen_vectors(self):
+        groups = {}
+        for size, keyhex, ell, want in _frozen_vectors():
+            groups.setdefault((size, keyhex), []).append((ell, want))
+        for (size, keyhex), rows in groups.items():
+            ells, wants = zip(*rows)
+            got = derive_permutations(SecretKey.from_hex(keyhex), ells, size)
+            assert np.array_equal(got, np.stack(wants)), (size, ells)
+
+    def test_exhausted_row_is_derived_again(self, monkeypatch):
+        real = permcipher._kernels.fisher_yates_lockstep
+
+        def second_row_runs_out(streams, size):
+            perms, ok = real(streams, size)
+            perms[1] = 0
+            ok[1] = False
+            return perms, ok
+
+        monkeypatch.setattr(permcipher._kernels, "fisher_yates_lockstep",
+                            second_row_runs_out)
+        want = np.stack([derive_permutation(KEY, ell, 64).map for ell in (3, 4, 5)])
+        assert np.array_equal(derive_permutations(KEY, [3, 4, 5], 64), want)
+
+    def test_short_first_stream_retries_with_doubling(self, monkeypatch):
+        # a 64-byte first stream cannot shuffle 300 samples, so every row of
+        # the batch runs out and is derived again from longer streams
+        want = derive_permutations(KEY, [0, 9, 2**64 - 1], 300)
+        monkeypatch.setattr(permcipher, "_stream_bytes", lambda size: 0)
+        assert np.array_equal(derive_permutations(KEY, [0, 9, 2**64 - 1], 300), want)
+        assert np.array_equal(derive_permutation(KEY, 9, 300).map, want[1])
+
+    def test_input_checks_come_before_keystream_work(self, monkeypatch):
+        def no_keystream(*args):
+            raise AssertionError("keystream drawn")
+
+        monkeypatch.setattr(permcipher, "_keystreams", no_keystream)
+        for size in (0, -1):
+            with pytest.raises(ShapeError):
+                derive_permutations(KEY, [0, 1], size)
+        for ells in ([-1], [0, 2**64], [3, 2**64 + 5, 4]):
+            with pytest.raises(ShapeError):
+                derive_permutations(KEY, ells, 8)
+        assert derive_permutations(KEY, [], 8).shape == (0, 8)
+        assert derive_permutations(KEY, range(5, 5), 8).shape == (0, 8)
+        ones = derive_permutations(KEY, [0, 2**64 - 1], 1)
+        assert ones.shape == (2, 1) and not ones.any()
 
 
 class TestApplication:
