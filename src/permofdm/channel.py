@@ -107,42 +107,68 @@ def draw_rayleigh_channel(profile: ChannelProfile, rng: np.random.Generator) -> 
 
 
 def freq_response(taps: np.ndarray, n: int) -> np.ndarray:
-    """H_k = sum_m h_m exp(-2j pi m k / n) for k = 0..n-1."""
+    """H_k = sum_m h_m exp(-2j pi m k / n) for k = 0..n-1.
+
+    taps is one tap vector or a (B, taps) stack, one channel per row;
+    row b of the result is the response of row b.
+    """
     taps = np.asarray(taps, dtype=np.complex128)
-    if taps.ndim != 1 or taps.size == 0:
-        raise ShapeError("taps must be a non-empty 1-D vector")
-    if taps.size > n:
-        raise ShapeError(f"channel order {taps.size - 1} must be < n = {n}")
-    return np.fft.fft(taps, n=n)
+    if taps.ndim not in (1, 2) or taps.shape[-1] == 0:
+        raise ShapeError("taps must be a non-empty 1-D vector or a 2-D stack of them")
+    if taps.shape[-1] > n:
+        raise ShapeError(f"channel order {taps.shape[-1] - 1} must be < n = {n}")
+    return np.fft.fft(taps, n=n, axis=-1)
 
 
 def apply_channel_stream(stream: np.ndarray, taps: np.ndarray, n_cp: int | None = None) -> np.ndarray:
     """Linear convolution with the taps, truncated to the input length.
 
+    stream and taps are one vector each, or (B, samples) and (B, taps)
+    stacks in which row b of the stream passes through row b of the taps.
     When n_cp is given, warns if the channel memory exceeds the cyclic
     prefix (residual inter-block interference would survive CP removal).
     """
     stream = np.asarray(stream, dtype=np.complex128)
     taps = np.asarray(taps, dtype=np.complex128)
-    if n_cp is not None and taps.size - 1 > n_cp:
+    if stream.ndim != taps.ndim or stream.shape[:-1] != taps.shape[:-1] or stream.ndim > 2:
+        raise ShapeError(f"stream {stream.shape} and taps {taps.shape} do not pair up row by row")
+    if n_cp is not None and taps.shape[-1] - 1 > n_cp:
         warnings.warn(
-            f"channel memory {taps.size - 1} exceeds cyclic prefix {n_cp}; "
+            f"channel memory {taps.shape[-1] - 1} exceeds cyclic prefix {n_cp}; "
             "inter-block interference will leak",
             stacklevel=2,
         )
-    return np.convolve(stream, taps)[: stream.size]
+    size = stream.shape[-1]
+    if stream.ndim == 1:
+        return np.convolve(stream, taps)[:size]
+    out = np.empty_like(stream)
+    for row, h, o in zip(stream, taps, out):
+        o[:] = np.convolve(row, h)[:size]
+    return out
 
 
-def add_awgn(x: np.ndarray, noise: NoiseSpec | float, rng: np.random.Generator) -> np.ndarray:
-    """Add circularly symmetric complex Gaussian noise of total power sigma_z2."""
+def add_awgn(x: np.ndarray, noise: NoiseSpec | float, rng) -> np.ndarray:
+    """Add circularly symmetric complex Gaussian noise of total power sigma_z2.
+
+    rng is one Generator for all of x, or a sequence of Generators, one per
+    row of x along its first axis; each draws its row's real parts, then
+    its imaginary parts, as a single Generator would for that row alone.
+    """
     sigma_z2 = noise.sigma_z2 if isinstance(noise, NoiseSpec) else float(noise)
     if sigma_z2 < 0:
         raise ShapeError("noise power must be non-negative")
     x = np.asarray(x, dtype=np.complex128)
     scale = np.sqrt(sigma_z2 / 2.0)
-    return x + scale * (
-        rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape)
-    )
+    if isinstance(rng, np.random.Generator):
+        re, im = rng.standard_normal(x.shape), rng.standard_normal(x.shape)
+    else:
+        if len(rng) != len(x):
+            raise ShapeError(f"{len(rng)} generators for {len(x)} rows")
+        re, im = np.empty(x.shape), np.empty(x.shape)
+        for g, re_row, im_row in zip(rng, re, im):
+            g.standard_normal(out=re_row)
+            g.standard_normal(out=im_row)
+    return x + scale * (re + 1j * im)
 
 
 def rms_delay_spread(profile: ChannelProfile) -> float:

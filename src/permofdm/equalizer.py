@@ -9,10 +9,10 @@ sigma_z^2 * mean(|H_k|^-2), identical on every subcarrier, which is the
 basis of the semi-analytic BER route.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfc
 
 from .errors import ShapeError, SingularChannelError
 from .modem import fft_demodulate, ifft_modulate
@@ -73,11 +73,15 @@ def equalizer_weights(h: np.ndarray, kind: EqualizerKind, snr: float | None = No
 
 
 def equalize(y: np.ndarray, h: np.ndarray, kind: EqualizerKind, snr: float | None = None) -> np.ndarray:
-    """Equalize one block (or rows of blocks) in the frequency domain."""
+    """Equalize rows of time-domain samples in the frequency domain.
+
+    h broadcasts against y: an (N,) response serves every row of y, and a
+    (B, 1, N) stack gives each (L, N) block of a (B, L, N) y its own channel.
+    """
     y = np.asarray(y, dtype=np.complex128)
     h = np.asarray(h, dtype=np.complex128)
-    if y.shape[-1] != h.size:
-        raise ShapeError(f"block length {y.shape[-1]} != response length {h.size}")
+    if y.shape[-1] != h.shape[-1] or h.ndim > y.ndim:
+        raise ShapeError(f"blocks of shape {y.shape} do not match responses of shape {h.shape}")
     w = equalizer_weights(h, kind, snr)
     return ifft_modulate(fft_demodulate(y) * w)
 
@@ -119,8 +123,13 @@ def conditional_snr_zf(h: np.ndarray, snr: float, zf_floor: float = 0.0) -> floa
     return float(snr / np.mean(np.abs(h) ** -2.0))
 
 
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
 def qfunc(x):
-    return 0.5 * erfc(np.asarray(x, dtype=np.float64) / np.sqrt(2.0))
+    """Gaussian tail probability Q(x) = erfc(x / sqrt 2) / 2, elementwise."""
+    z = np.asarray(x, dtype=np.float64) / np.sqrt(2.0)
+    return 0.5 * np.asarray(_erfc(z), dtype=np.float64)[()]
 
 
 def ber_awgn_qam(M: int, snr) -> np.ndarray | float:

@@ -28,8 +28,9 @@ def read_iq(path) -> np.ndarray:
         raise IqFormatError(
             f"{path}: {len(raw)} bytes is not a whole number of float32 I,Q pairs"
         )
-    flat = np.frombuffer(raw, dtype="<f4")
-    return (flat[0::2] + 1j * flat[1::2]).astype(np.complex128)
+    # Each I,Q pair is one little-endian complex64, so I and Q stay
+    # independent: a NaN or an infinity in one leaves the other intact.
+    return np.frombuffer(raw, dtype="<c8").astype(np.complex128)
 
 
 def write_key_file(path, key: SecretKey, hex_text: bool = True) -> None:

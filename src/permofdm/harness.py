@@ -4,19 +4,23 @@ Reproducibility contract: every random quantity is drawn from a
 Generator seeded with the tuple (seed, point_index, block_index), and
 early stopping looks only at cumulative counts over blocks taken in
 index order.  Results are therefore byte-identical for a given seed no
-matter how many worker processes execute the blocks.
+matter how many worker processes execute the blocks, or how the blocks
+are grouped into tasks.
 
 Per-point stopping for BER runs: blocks accumulate until at least
 min_errors bit errors AND min_blocks blocks have been seen, or until the
 block or total-bit cap is hit.
+
+A BER task is a chunk of consecutive blocks of one point, which runs
+through the link chain once as a stack (see _ber_point for the chunk sizes).
 """
 
 import hashlib
 import math
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -42,7 +46,6 @@ from .modem import (
 from .permcipher import (
     Permutation,
     SecretKey,
-    decrypt_block,
     derive_permutation,
     derive_permutations,
     encrypt_block,
@@ -61,6 +64,9 @@ FIVE_TAP_PROFILE = ChannelProfile(
 )
 
 _SER_CHUNK = 32  # OFDM symbols per task; fixed so results never depend on workers
+# Framed samples per BER task at most: many small blocks share a task, and a
+# large block (a transpose block at n=256 is 69,632 samples) runs alone.
+_CHUNK_SAMPLES = 8192
 
 
 @dataclass(frozen=True)
@@ -137,8 +143,9 @@ def _task_map(workers: int):
     """Yield imap(entry, tasks), a lazy map whose results come in task order.
 
     With one worker a task is computed only when its result is taken, so a
-    caller that stops early computes nothing past the stop.  A pool takes
-    the tasks in waves of 4 * workers; the unread rest of a wave is discarded.
+    caller that stops early computes nothing past the stop.  A pool keeps
+    2 * workers tasks in flight, submitting the next as each result is
+    taken; when the caller stops, the tasks not yet started are cancelled.
     """
     _check_workers(workers)
     if workers == 1:
@@ -146,25 +153,35 @@ def _task_map(workers: int):
         return
     with ProcessPoolExecutor(max_workers=workers) as executor:
         def imap(entry, tasks):
-            tasks = iter(tasks)
-            while wave := list(islice(tasks, 4 * workers)):
-                yield from executor.map(entry, wave)
+            pending = deque()
+            try:
+                for task in tasks:
+                    pending.append(executor.submit(entry, task))
+                    if len(pending) == 2 * workers:
+                        yield pending.popleft().result()
+                while pending:
+                    yield pending.popleft().result()
+            finally:
+                for future in pending:
+                    future.cancel()
         yield imap
 
 
-def _draw_symbols(rng: np.random.Generator, const: QamConstellation, shape):
-    """Uniform bits packed MSB first into QAM indices of `shape`: (indices, points)."""
+def _qam_symbols(bits: np.ndarray, const: QamConstellation):
+    """Bit groups on the last axis packed MSB first into QAM (indices, points)."""
     k = const.bits_per_symbol
-    bits = rng.integers(0, 2, size=(*shape, k), dtype=np.uint8)
     idx = bits.astype(np.int64) @ (1 << np.arange(k - 1, -1, -1, dtype=np.int64))
     return idx, const.points[idx]
 
 
-def _error_counts(tx_idx: np.ndarray, rx_idx: np.ndarray, k: int):
-    """(bit errors, bits, symbol errors, symbols) of k-bit QAM indices."""
-    diff = tx_idx.reshape(-1) ^ rx_idx.reshape(-1)
-    bit_errors = int((diff[:, None] >> np.arange(k, dtype=np.int64) & 1).sum())
-    return bit_errors, diff.size * k, int(np.count_nonzero(diff)), diff.size
+def _error_counts(tx_idx: np.ndarray, rx_idx: np.ndarray, k: int) -> np.ndarray:
+    """(rows, 2) bit and symbol errors in each row (first axis) of tx_idx.
+
+    rx_idx holds the decided k-bit QAM indices in the same order, in any shape.
+    """
+    diff = (tx_idx ^ rx_idx.reshape(tx_idx.shape)).reshape(len(tx_idx), -1)
+    bit_errors = (diff[..., None] >> np.arange(k, dtype=np.int64) & 1).sum(axis=(1, 2))
+    return np.stack([bit_errors, np.count_nonzero(diff, axis=1)], axis=1)
 
 
 def _derive_key_from_seed(seed: int) -> SecretKey:
@@ -225,73 +242,123 @@ class BerExperimentConfig:
         return self.key if self.key is not None else _derive_key_from_seed(self.seed)
 
 
-def _block_permutation(cfg: BerExperimentConfig, point_index: int, block_index: int):
+def _chunk_positions(cfg: BerExperimentConfig, point_index: int, b0: int, b1: int):
+    """Flat positions that permute blocks [b0, b1) stacked as rows: (B, P), or None.
+
+    Row r of a (B, P) stack gathered at these positions carries block b0 + r
+    scrambled by its own map; scattering to them unscrambles it.
+    """
+    if cfg.interleaver == "none":
+        return None
+    size = cfg.symbols_per_block * cfg.n
     if cfg.interleaver == "transpose":
-        return transpose_interleaver(cfg.n)
-    if cfg.interleaver == "keyed":
-        ell = point_index * cfg.blocks + block_index
-        return derive_permutation(cfg.resolve_key(), ell, cfg.l_depth * cfg.n)
-    return None
+        maps = transpose_interleaver(cfg.n).map
+    else:
+        key, base = cfg.resolve_key(), point_index * cfg.blocks
+        maps = np.empty((b1 - b0, size), dtype=np.int64)
+        for row, block_index in enumerate(range(b0, b1)):
+            maps[row] = derive_permutation(key, base + block_index, size).map
+    return maps + size * np.arange(b1 - b0)[:, None]
 
 
-def _ber_block_entry(task):
-    """One channel block: returns (bit_errors, bits, symbol_errors, symbols)."""
-    cfg, point_index, snr_db, block_index = task
-    rng = np.random.default_rng((cfg.seed, point_index, block_index))
-    n, n_cp = cfg.n, cfg.n_cp
+def _ber_chunk_entry(task):
+    """Blocks [b0, b1) of one point: (b1 - b0, 2) bit and symbol errors per block.
+
+    Block b draws its channel taps, bits and noise, in that order, from
+    default_rng((seed, point_index, b)); every stage then runs once on the
+    blocks stacked along a leading axis.
+    """
+    cfg, point_index, snr_db, b0, b1 = task
+    rngs = [np.random.default_rng((cfg.seed, point_index, b)) for b in range(b0, b1)]
+    count, n, n_cp, l_eff = b1 - b0, cfg.n, cfg.n_cp, cfg.symbols_per_block
     const = QamConstellation.square(cfg.m)
-    l_eff = cfg.symbols_per_block
+    k = const.bits_per_symbol
 
     if cfg.channel == "awgn":
-        taps = np.ones(1, dtype=np.complex128)
+        taps = np.ones((count, 1), dtype=np.complex128)
     else:
-        taps = draw_rayleigh_channel(cfg.profile, rng).taps
+        taps = np.stack([draw_rayleigh_channel(cfg.profile, rng).taps for rng in rngs])
     h = freq_response(taps, n)
 
-    tx_idx, d = _draw_symbols(rng, const, (l_eff, n))
+    bits = np.stack([rng.integers(0, 2, size=(l_eff, n, k), dtype=np.uint8) for rng in rngs])
+    tx_idx, d = _qam_symbols(bits, const)
     x = ifft_modulate(d)
-    perm = _block_permutation(cfg, point_index, block_index)
-    tx = encrypt_block(x, perm) if perm is not None else x
+    positions = _chunk_positions(cfg, point_index, b0, b1)
+    tx = x if positions is None else x.reshape(-1)[positions].reshape(x.shape)
 
     noise = NoiseSpec.from_snr_db(snr_db)
-    stream = add_cp(tx, n_cp).reshape(-1)
-    rx = apply_channel_stream(stream, taps)
-    rx = add_awgn(rx, noise, rng)
+    stream = add_cp(tx, n_cp).reshape(count, -1)
+    rx = add_awgn(apply_channel_stream(stream, taps), noise, rngs)
 
-    un = remove_cp(rx.reshape(l_eff, n + n_cp), n, n_cp)
-    eq = equalize(un, h, cfg.equalizer, snr=noise.snr)
-    s = decrypt_block(eq, perm) if perm is not None else eq
+    un = remove_cp(rx.reshape(count, l_eff, n + n_cp), n, n_cp)
+    eq = equalize(un, h[:, None, :], cfg.equalizer, snr=noise.snr)
+    s = eq
+    if positions is not None:  # one scatter de-permutes every block
+        s = np.empty_like(eq)
+        s.reshape(-1)[positions] = eq.reshape(count, -1)
     rx_idx = qam_point_indices(fft_demodulate(s), const)
-    return _error_counts(tx_idx, rx_idx, const.bits_per_symbol)
+    return _error_counts(tx_idx, rx_idx, k)
+
+
+def _ber_point(imap, cfg: BerExperimentConfig, workers: int, point_index: int,
+               snr_db: float) -> PointResult:
+    """Take one point's blocks in index order until the stopping rule holds.
+
+    One worker computes the next chunk only after folding the last, so it
+    ends each chunk at the first block where the rule could stop: the error
+    budget needs min_blocks in all and at least ceil(remaining errors / bits
+    per block) more, and the bit cap stops at a block known in advance.  A
+    pool runs chunks of the most blocks a task may hold.
+    """
+    min_blocks = cfg.min_blocks if cfg.min_blocks is not None else min(200, cfg.blocks)
+    syms = cfg.symbols_per_block * cfg.n
+    bits = syms * QamConstellation.square(cfg.m).bits_per_symbol
+    most = max(1, _CHUNK_SAMPLES // (cfg.symbols_per_block * (cfg.n + cfg.n_cp)))
+    cap = min(cfg.blocks, math.ceil(cfg.max_bits / bits))
+    taken = be = se = 0
+
+    def tasks():
+        # read when the next task is asked for: at one worker, after the
+        # fold below has taken every block of the last chunk
+        b0 = 0
+        while b0 < cfg.blocks:
+            b1 = cfg.blocks
+            if workers == 1:
+                b1 = min(max(min_blocks, taken - (be - cfg.min_errors) // bits), cap)
+            b1 = min(max(b1, b0 + 1), b0 + most)
+            yield cfg, point_index, snr_db, b0, b1
+            b0 = b1
+
+    blocks = (counts for chunk in imap(_ber_chunk_entry, tasks()) for counts in chunk.tolist())
+    for block_be, block_se in blocks:
+        taken += 1
+        be += block_be
+        se += block_se
+        if (taken >= min_blocks and be >= cfg.min_errors) or taken * bits >= cfg.max_bits:
+            break
+    nbits, nsyms = taken * bits, taken * syms
+    return PointResult(
+        experiment="ber",
+        n=cfg.n, m=cfg.m,
+        interleaver=cfg.interleaver,
+        equalizer=cfg.equalizer.variant,
+        snr_db=snr_db, k_mixed=0,
+        trials=taken,
+        bit_errors=be, ber=be / nbits if nbits else 0.0,
+        symbol_errors=se, ser=se / nsyms if nsyms else 0.0,
+        ci95=wald_halfwidth(be, nbits),
+    )
 
 
 def run_ber_experiment(cfg: BerExperimentConfig, workers: int = 1) -> TrialReport:
-    min_blocks = cfg.min_blocks if cfg.min_blocks is not None else min(200, cfg.blocks)
-    rows = []
     with _task_map(workers) as imap:
         if cfg.channel == "rayleigh":
             # surface CP violations once, up front
             apply_channel_stream(np.zeros(cfg.n, dtype=complex),
                                  np.zeros(cfg.profile.max_delay + 1, dtype=complex),
                                  n_cp=cfg.n_cp)
-        for pi, snr_db in enumerate(cfg.snr_db):
-            be = nbits = se = nsyms = 0
-            tasks = ((cfg, pi, float(snr_db), bi) for bi in range(cfg.blocks))
-            for taken, r in enumerate(imap(_ber_block_entry, tasks), 1):
-                be += r[0]; nbits += r[1]; se += r[2]; nsyms += r[3]
-                if (taken >= min_blocks and be >= cfg.min_errors) or nbits >= cfg.max_bits:
-                    break
-            rows.append(PointResult(
-                experiment="ber",
-                n=cfg.n, m=cfg.m,
-                interleaver=cfg.interleaver,
-                equalizer=cfg.equalizer.variant,
-                snr_db=float(snr_db), k_mixed=0,
-                trials=taken,
-                bit_errors=be, ber=be / nbits if nbits else 0.0,
-                symbol_errors=se, ser=se / nsyms if nsyms else 0.0,
-                ci95=wald_halfwidth(be, nbits),
-            ))
+        rows = [_ber_point(imap, cfg, workers, pi, float(snr_db))
+                for pi, snr_db in enumerate(cfg.snr_db)]
     return TrialReport(points=tuple(rows))
 
 
@@ -346,14 +413,16 @@ def _ser_chunk_entry(task):
     const = QamConstellation.square(m)
     noise = NoiseSpec.from_snr_db(cfg.snr_db)
 
-    tx_idx, d = _draw_symbols(rng, const, (count, cfg.n))
+    k = const.bits_per_symbol
+    tx_idx, d = _qam_symbols(rng.integers(0, 2, size=(count, cfg.n, k), dtype=np.uint8), const)
     x = ifft_modulate(d)
     mixed = np.empty_like(x)
     for t in range(count):
         mixed[t] = mix_samples(x[t], k_mixed, rng)
     y = add_awgn(mixed, noise, rng)
     rx_idx = qam_point_indices(fft_demodulate(y), const)
-    return _error_counts(tx_idx, rx_idx, const.bits_per_symbol)
+    bit_errors, symbol_errors = _error_counts(tx_idx, rx_idx, k).sum(axis=0).tolist()
+    return bit_errors, tx_idx.size * k, symbol_errors, tx_idx.size
 
 
 def run_ser_attack_experiment(cfg: SerAttackConfig, workers: int = 1) -> TrialReport:

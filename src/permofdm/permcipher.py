@@ -22,6 +22,7 @@ is faster only for many small blocks, so callers that need one block at a
 time, or a few large ones, use ``derive_permutation``.
 """
 
+import functools
 import hashlib
 import math
 import secrets
@@ -163,12 +164,15 @@ def derive_permutations(key: SecretKey, ells, size: int) -> np.ndarray:
     return maps
 
 
+@functools.lru_cache(maxsize=8)  # bounded: the map of n=4096 alone is 128 MiB
 def transpose_interleaver(n: int) -> Permutation:
     """Length-n^2 map sending flat index l*n + m to m*n + l.
 
     Applied to n OFDM symbols of n samples stacked symbol-major, output
     symbol l carries, at position m, the l-th sample of input symbol m.
-    The map is an involution, so it is its own inverse.
+    The map is an involution, so it is its own inverse.  Recent sizes are
+    cached; the Permutation is frozen and its map read-only, so callers
+    share it.
     """
     if n < 1:
         raise ShapeError(f"n must be >= 1, got {n}")

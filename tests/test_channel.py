@@ -131,6 +131,55 @@ class TestStreamConvolution:
             apply_channel_stream(x, taps, n_cp=4)
 
 
+class TestBatchedRows:
+    """A stack of blocks, one channel per row, gives each row's own result bit for bit."""
+
+    @staticmethod
+    def _taps(rows, seed):
+        rng = np.random.default_rng(seed)
+        return np.stack([draw_rayleigh_channel(FIVE_TAP_PROFILE, rng).taps
+                         for _ in range(rows)])
+
+    @pytest.mark.parametrize("rows", (1, 2, 7, 30))
+    def test_freq_response(self, rows):
+        taps = self._taps(rows, 40 + rows)
+        for n in (12, 16, 64, 256):
+            got = freq_response(taps, n)
+            assert got.shape == (rows, n)
+            for row, t in zip(got, taps):
+                assert np.array_equal(row, freq_response(t, n))
+        assert np.array_equal(freq_response(np.ones((rows, 1)), 8), np.ones((rows, 8)))
+
+    @pytest.mark.parametrize("rows", (1, 2, 7, 30))
+    def test_apply_channel_stream(self, rows):
+        rng = np.random.default_rng(50 + rows)
+        taps = self._taps(rows, 60 + rows)
+        stream = rng.normal(size=(rows, 272)) + 1j * rng.normal(size=(rows, 272))
+        got = apply_channel_stream(stream, taps)
+        assert got.shape == stream.shape
+        for row, s, t in zip(got, stream, taps):
+            assert np.array_equal(row, apply_channel_stream(s, t))
+
+    def test_rows_must_pair_up(self):
+        with pytest.raises(ShapeError):
+            freq_response(np.ones((2, 3, 4)), 8)
+        with pytest.raises(ShapeError):
+            freq_response(np.ones((2, 0)), 8)
+        with pytest.raises(ShapeError):
+            apply_channel_stream(np.ones((3, 16)), np.ones((2, 4)))
+        with pytest.raises(ShapeError):
+            apply_channel_stream(np.ones((3, 16)), np.ones(4))
+
+    def test_add_awgn_with_a_generator_per_row(self):
+        x = np.arange(3 * 40, dtype=complex).reshape(3, 40)
+        noise = NoiseSpec.from_snr_db(3.0)
+        got = add_awgn(x, noise, [np.random.default_rng((9, b)) for b in range(3)])
+        for b, row in enumerate(got):
+            assert np.array_equal(row, add_awgn(x[b], noise, np.random.default_rng((9, b))))
+        with pytest.raises(ShapeError):
+            add_awgn(x, noise, [np.random.default_rng(0)] * 2)
+
+
 class TestCirculantStructure:
     def test_dft_diagonalizes_circulant(self):
         rng = np.random.default_rng(23)

@@ -72,6 +72,22 @@ class TestIqFiles:
         p.write_bytes(b"")
         assert read_iq(p).size == 0
 
+    def test_non_finite_q_leaves_i_alone(self, tmp_path):
+        p = tmp_path / "e.iq"
+        p.write_bytes(np.array([1.0, np.inf, 3.0, np.nan], dtype="<f4").tobytes())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = read_iq(p)
+        assert y.dtype == np.complex128
+        assert y.real.tolist() == [1.0, 3.0]
+        assert y.imag[0] == np.inf and np.isnan(y.imag[1])
+
+    def test_infinite_q_round_trips(self, tmp_path):
+        p, q = tmp_path / "f.iq", tmp_path / "g.iq"
+        p.write_bytes(np.array([1.0, np.inf], dtype="<f4").tobytes())
+        write_iq(q, read_iq(p))
+        assert q.read_bytes() == p.read_bytes()
+
 
 class TestKeyFiles:
     def test_hex_roundtrip(self, tmp_path):

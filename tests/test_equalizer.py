@@ -1,10 +1,16 @@
 """Equalizer tests: weight formulas, factored frequency-domain application
 against an explicit matrix oracle, and the post-descrambling noise algebra."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import stats
 
+import permofdm
 from permofdm import (
     EqualizerKind,
     ShapeError,
@@ -123,6 +129,28 @@ class TestEqualize:
         with pytest.raises(ShapeError):
             equalize(np.zeros(8, dtype=complex), np.ones(4, dtype=complex),
                      EqualizerKind())
+        with pytest.raises(ShapeError):
+            equalize(np.zeros((2, 8), dtype=complex), np.ones((2, 1, 8), dtype=complex),
+                     EqualizerKind())
+
+    @pytest.mark.parametrize("kind", [
+        EqualizerKind(),
+        EqualizerKind(variant="mmse"),
+        EqualizerKind(zf_floor=0.3),
+        EqualizerKind(fade_bias=0.4),
+        EqualizerKind(variant="mmse", discard_below=0.3),
+    ], ids=["zf", "mmse", "zf-floor", "fade-bias", "mmse-discard"])
+    @pytest.mark.parametrize("blocks,rows", [(1, 1), (5, 1), (4, 3), (30, 1)])
+    def test_blocks_with_their_own_channels_match_single_calls(self, kind, blocks, rows):
+        rng = np.random.default_rng(blocks * 10 + rows)
+        n = 32
+        y = (rng.normal(size=(blocks, rows, n)) + 1j * rng.normal(size=(blocks, rows, n)))
+        h = _random_h(rng, blocks * n).reshape(blocks, n)
+        h[0, :3] = 0.0  # zero bins take the floor and bias branches
+        got = equalize(y, h[:, None, :], kind, snr=7.5)
+        assert got.shape == y.shape
+        for b in range(blocks):
+            assert np.array_equal(got[b], equalize(y[b], h[b], kind, snr=7.5))
 
 
 class TestNoiseMixing:
@@ -214,6 +242,25 @@ class TestBerClosedForms:
     def test_qfunc_matches_normal_tail(self):
         x = np.linspace(-2, 6, 50)
         assert np.max(np.abs(qfunc(x) - stats.norm.sf(x))) < 1e-12
+
+    def test_qfunc_keeps_scalars_and_shapes(self):
+        assert isinstance(qfunc(1.0), np.float64)
+        assert qfunc(np.zeros((2, 3))).shape == (2, 3)
+        assert qfunc(0.0) == 0.5
+        assert qfunc(np.inf) == 0.0 and qfunc(-np.inf) == 1.0
+
+    def test_package_imports_without_scipy(self):
+        # scipy is a test dependency only; a None entry in sys.modules makes
+        # every `import scipy...` fail
+        code = ("import sys; sys.modules['scipy'] = None; "
+                "import permofdm, permofdm.cli; print(permofdm.qfunc(1.0))")
+        src = str(Path(permofdm.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, env=env)
+        assert res.returncode == 0, res.stderr
+        assert float(res.stdout) == pytest.approx(stats.norm.sf(1.0), rel=1e-12)
 
     def test_qpsk_exact(self):
         snr = np.array([1.0, 2.5, 10.0])

@@ -3,6 +3,7 @@ formatting, sample-mixing model, and per-subcarrier mixing measurement."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from permofdm import harness
 from permofdm import (
@@ -10,6 +11,7 @@ from permofdm import (
     FIVE_TAP_PROFILE,
     AttackRecoveryConfig,
     BerExperimentConfig,
+    EqualizerKind,
     NoiseSpec,
     Permutation,
     PointResult,
@@ -152,7 +154,7 @@ class TestBerExperiment:
         c = run_ber_experiment(cfg, workers=2).to_csv()
         assert a == b == c
         # the points stop on the error budget after 2, 7, 9 and 13 blocks,
-        # inside the first or second pool wave of 8 (2 workers) or 12 blocks
+        # inside the first pool chunk, with later chunks in flight
         cfg = BerExperimentConfig(seed=31, n=32, interleaver="keyed", blocks=40,
                                   snr_db=(0.0, 10.0, 12.0, 16.0), min_blocks=0,
                                   min_errors=30)
@@ -168,16 +170,112 @@ class TestBerExperiment:
                             min_blocks=4, min_errors=100),
     ], ids=["bit-cap", "error-budget"])
     def test_one_worker_computes_only_the_blocks_taken(self, monkeypatch, cfg):
-        calls = [0]
-        entry = harness._ber_block_entry
+        blocks = [0]
+        entry = harness._ber_chunk_entry
 
         def counting(task):
-            calls[0] += 1
+            *_, b0, b1 = task
+            blocks[0] += b1 - b0
             return entry(task)
 
-        monkeypatch.setattr(harness, "_ber_block_entry", counting)
+        monkeypatch.setattr(harness, "_ber_chunk_entry", counting)
         report = run_ber_experiment(cfg)
-        assert calls[0] == sum(p.trials for p in report.points)
+        assert blocks[0] == sum(p.trials for p in report.points)
+
+    # Rows captured when every block ran as its own task.  A pool chunk holds
+    # 8192 // samples-per-block blocks, so "edge16" (transpose, n=16) and
+    # "edge30" (keyed, n=256) stop on the last block of a pool chunk, and
+    # every other error-budget stop lands inside one.
+    GOLDEN = [
+        (dict(seed=101, n=32, m=16, interleaver="none", snr_db=(4.0, 14.0), blocks=30,
+              min_blocks=3, min_errors=200),
+         ["ber,32,16,none,zf,4,0,3,2337,0.190186,1703,0.554362,0.006939",
+          "ber,32,16,none,zf,14,0,3,665,0.0541178,519,0.168945,0.00400041"]),
+        (dict(seed=102, n=16, interleaver="transpose", equalizer=EqualizerKind(variant="mmse"),
+              snr_db=(6.0, 20.0), blocks=40, min_blocks=2, min_errors=300),
+         ["ber,16,4,transpose,mmse,6,0,6,328,0.106771,310,0.201823,0.0109208",
+          "ber,16,4,transpose,mmse,20,0,40,6,0.000292969,6,0.000585937,0.000234389"]),
+        (dict(seed=103, n=64, interleaver="keyed", equalizer=EqualizerKind(fade_bias=0.3),
+              snr_db=(0.0, 10.0, 20.0), blocks=80, min_blocks=0, min_errors=30),
+         ["ber,64,4,keyed,zf,0,0,1,32,0.25,27,0.421875,0.0750156",
+          "ber,64,4,keyed,zf,10,0,7,33,0.0368304,31,0.0691964,0.0123327",
+          "ber,64,4,keyed,zf,20,0,80,12,0.00117187,12,0.00234375,0.000662662"]),
+        (dict(seed=104, n=16, m=16, interleaver="keyed", l_depth=4,
+              equalizer=EqualizerKind(variant="mmse", discard_below=0.2), snr_db=(5.0, 15.0),
+              blocks=60, min_blocks=1, min_errors=100, key=KEY),
+         ["ber,16,16,keyed,mmse,5,0,2,126,0.246094,96,0.75,0.0373104",
+          "ber,16,16,keyed,mmse,15,0,4,118,0.115234,101,0.394531,0.0195574"]),
+        (dict(seed=105, n=32, interleaver="keyed", l_depth=2, channel="awgn", snr_db=(2.0, 6.0),
+              blocks=50, min_blocks=0, min_errors=40),
+         ["ber,32,4,keyed,zf,2,0,3,43,0.111979,39,0.203125,0.0315407",
+          "ber,32,4,keyed,zf,6,0,12,41,0.0266927,41,0.0533854,0.00806087"]),
+        (dict(seed=106, n=16, interleaver="transpose", snr_db=(30.0,), blocks=60, min_blocks=5,
+              min_errors=10 ** 9, max_bits=1000),
+         ["ber,16,4,transpose,zf,30,0,2,0,0,0,0,0"]),
+        (dict(seed=107, n=64, interleaver="keyed", snr_db=(30.0, 40.0), blocks=600, min_blocks=5,
+              min_errors=10 ** 9, max_bits=40 * 128 + 1),
+         ["ber,64,4,keyed,zf,30,0,41,0,0,0,0,0",
+          "ber,64,4,keyed,zf,40,0,41,0,0,0,0,0"]),
+        (dict(seed=108, n=32, interleaver="keyed", snr_db=(30.0,), blocks=37, min_errors=10 ** 9),
+         ["ber,32,4,keyed,zf,30,0,37,19,0.00802365,14,0.0118243,0.00359337"]),
+        (dict(seed=109, n=16, interleaver="none", snr_db=(0.0, 10.0), blocks=9, min_blocks=0,
+              min_errors=0),
+         ["ber,16,4,none,zf,0,0,1,139,0.271484,123,0.480469,0.0385224",
+          "ber,16,4,none,zf,10,0,1,21,0.0410156,19,0.0742188,0.0171791"]),
+        (dict(seed=110, n=16, interleaver="transpose", snr_db=(-5.0,), blocks=40, min_blocks=16,
+              min_errors=1),
+         ["ber,16,4,transpose,zf,-5,0,16,3151,0.384644,2532,0.618164,0.0105355"]),
+        (dict(seed=111, n=256, interleaver="keyed", snr_db=(-5.0, 8.0), blocks=200,
+              min_blocks=30, min_errors=1),
+         ["ber,256,4,keyed,zf,-5,0,30,6082,0.395964,4885,0.636068,0.00773428",
+          "ber,256,4,keyed,zf,8,0,30,2063,0.13431,1820,0.236979,0.00539257"]),
+        (dict(seed=112, n=256, interleaver="keyed", snr_db=(6.0, 12.0, 18.0), blocks=200,
+              min_blocks=2, min_errors=400),
+         ["ber,256,4,keyed,zf,6,0,6,489,0.15918,431,0.280599,0.0129372",
+          "ber,256,4,keyed,zf,12,0,18,440,0.0477431,406,0.0881076,0.00435328",
+          "ber,256,4,keyed,zf,18,0,64,402,0.0122681,357,0.0217896,0.0011919"]),
+        (dict(seed=113, n=64, m=64, interleaver="none", equalizer=EqualizerKind(zf_floor=0.05),
+              snr_db=(10.0, 25.0), blocks=20, min_blocks=20),
+         ["ber,64,64,none,zf,10,0,20,100340,0.204142,57941,0.707288,0.00112686",
+          "ber,64,64,none,zf,25,0,20,10855,0.0220846,8181,0.0998657,0.000410847"]),
+        (dict(seed=114, n=64, interleaver="keyed", l_depth=4, snr_db=(8.0, 16.0), blocks=100,
+              min_blocks=2, min_errors=200),
+         ["ber,64,4,keyed,zf,8,0,3,261,0.169922,242,0.315104,0.0187821",
+          "ber,64,4,keyed,zf,16,0,31,237,0.014932,227,0.0286038,0.00188683"]),
+        (dict(seed=115, n=64, interleaver="transpose", snr_db=(12.0,), blocks=9,
+              min_errors=10 ** 6),
+         ["ber,64,4,transpose,zf,12,0,9,3612,0.0489909,3423,0.0928548,0.00155808"]),
+        (dict(seed=116, n=64, interleaver="none", channel="awgn",
+              equalizer=EqualizerKind(variant="mmse"), snr_db=(3.0, 7.0), blocks=25,
+              min_blocks=25),
+         ["ber,64,4,none,mmse,3,0,25,16329,0.0797314,15664,0.152969,0.00117318",
+          "ber,64,4,none,mmse,7,0,25,2612,0.0127539,2596,0.0253516,0.000485988"]),
+    ]
+
+    @pytest.mark.parametrize("workers", (1, 2, 3))
+    def test_csv_matches_golden_rows(self, workers):
+        for kwargs, rows in self.GOLDEN:
+            cfg = BerExperimentConfig(**kwargs)
+            csv = run_ber_experiment(cfg, workers=workers).to_csv()
+            assert csv == "\n".join([CSV_HEADER, *rows]) + "\n", kwargs
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([
+        dict(n=16, interleaver="none"),
+        dict(n=16, m=16, interleaver="transpose", equalizer=EqualizerKind(variant="mmse")),
+        dict(n=32, interleaver="keyed", equalizer=EqualizerKind(fade_bias=0.3)),
+        dict(n=16, interleaver="keyed", l_depth=3, equalizer=EqualizerKind(discard_below=0.2)),
+        dict(n=4, n_cp=2, interleaver="keyed", l_depth=2, channel="awgn"),
+        dict(n=8, n_cp=0, interleaver="transpose", channel="awgn"),
+    ]), st.integers(0, 2 ** 64 - 1), st.integers(0, 3), st.integers(0, 6), st.integers(1, 6),
+        st.floats(-5.0, 30.0))
+    def test_one_chunk_counts_like_one_block_chunks(self, kwargs, seed, point, b0, count, snr):
+        cfg = BerExperimentConfig(seed=seed, blocks=20, snr_db=(snr,), **kwargs)
+        chunk = harness._ber_chunk_entry((cfg, point, snr, b0, b0 + count))
+        single = [harness._ber_chunk_entry((cfg, point, snr, b, b + 1))
+                  for b in range(b0, b0 + count)]
+        assert chunk.shape == (count, 2)
+        assert np.array_equal(chunk, np.concatenate(single))
 
     def test_cp_shorter_than_channel_warns(self):
         cfg = BerExperimentConfig(seed=15, n=16, n_cp=8, snr_db=(10.0,),

@@ -217,6 +217,16 @@ class TestTransposeInterleaver:
         x = np.random.default_rng(16).normal(size=n * n).astype(complex)
         assert np.array_equal(encrypt_block(encrypt_block(x, p), p), x)
 
+    def test_built_once_per_size_and_read_only(self):
+        p = transpose_interleaver(16)
+        assert transpose_interleaver(16) is p
+        assert transpose_interleaver(8) is not p
+        assert not p.map.flags.writeable
+        with pytest.raises(ValueError):
+            p.map[0] = 1
+        with pytest.raises(ShapeError):
+            transpose_interleaver(0)
+
 
 class TestKeyspace:
     def test_values(self):
