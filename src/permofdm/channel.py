@@ -139,10 +139,9 @@ def apply_channel_stream(stream: np.ndarray, taps: np.ndarray, n_cp: int | None 
             stacklevel=2,
         )
     size = stream.shape[-1]
-    if stream.ndim == 1:
-        return np.convolve(stream, taps)[:size]
     out = np.empty_like(stream)
-    for row, h, o in zip(stream, taps, out):
+    for row, h, o in zip(stream.reshape(-1, size), taps.reshape(-1, taps.shape[-1]),
+                         out.reshape(-1, size)):
         o[:] = np.convolve(row, h)[:size]
     return out
 
