@@ -15,28 +15,30 @@ JIT_ENABLED = False
 # ---------------------------------------------------------------------------
 # square-QAM hard decisions
 #
-# Levels on each axis are (L-1-2b)*scale for level index b in 0..L-1, where
-# the transmitted bit group for the axis is the Gray pattern g = b ^ (b >> 1).
-# A hard decision picks the nearest level; an exact distance tie breaks toward
-# the smaller Gray pattern, which makes the combined I/Q decision equal to
-# "nearest constellation point, ties toward the lowest point index".
+# Levels on each axis are (L-1-2b)*scale for level index b in 0..L-1; the
+# axis's bit group is the Gray pattern b ^ (b >> 1).  A sample is weighed
+# against levels b = floor((L-1 - v/scale)/2), clipped to 0..L-2, and b + 1,
+# each computed from its own b, so a sample on a level or a midpoint ties
+# exactly.  A tie goes to the smaller Gray pattern, which makes the I/Q
+# decision "nearest point, ties toward the lowest point index"; a table of
+# L-1 flags, indexed by b, says when that is b + 1.  For L == 2, b is 0 and
+# its flag is False, so neither is needed.
 # ---------------------------------------------------------------------------
 
 def demod_points(re, im, L, bpa, scale):
-    bi = _demod_axis(re, L, scale)
-    bq = _demod_axis(im, L, scale)
-    return ((bi ^ (bi >> 1)) << bpa) | (bq ^ (bq >> 1))
+    return (_demod_axis(re, L, scale) << bpa) | _demod_axis(im, L, scale)
 
 
 def _demod_axis(v, L, scale):
-    t = (L - 1 - v / scale) / 2.0
-    bf = np.clip(np.floor(t), 0, L - 2).astype(np.int64)
-    d0 = np.abs(v - (L - 1 - 2 * bf) * scale)
-    d1 = np.abs(v - (L - 3 - 2 * bf) * scale)
-    g0 = bf ^ (bf >> 1)
-    g1 = (bf + 1) ^ ((bf + 1) >> 1)
-    take1 = (d1 < d0) | ((d1 == d0) & (g1 < g0))
-    return np.where(take1, bf + 1, bf)
+    """Gray pattern of the level nearest each sample (bool when L == 2)."""
+    if L == 2:
+        return np.abs(v + scale) < np.abs(v - scale)
+    b = np.clip(np.floor((L - 1 - v / scale) / 2.0), 0, L - 2).astype(np.int64)
+    d0 = np.abs(v - (L - 1 - 2 * b) * scale)
+    d1 = np.abs(v - (L - 3 - 2 * b) * scale)
+    g = np.arange(L) ^ (np.arange(L) >> 1)
+    b += (d1 < d0) | ((d1 == d0) & (g[1:] < g[:-1])[b])
+    return b ^ (b >> 1)
 
 
 # ---------------------------------------------------------------------------

@@ -156,18 +156,20 @@ def add_awgn(x: np.ndarray, noise: NoiseSpec | float, rng) -> np.ndarray:
     sigma_z2 = noise.sigma_z2 if isinstance(noise, NoiseSpec) else float(noise)
     if sigma_z2 < 0:
         raise ShapeError("noise power must be non-negative")
-    x = np.asarray(x, dtype=np.complex128)
-    scale = np.sqrt(sigma_z2 / 2.0)
+    out = np.array(x, dtype=np.complex128)
     if isinstance(rng, np.random.Generator):
-        re, im = rng.standard_normal(x.shape), rng.standard_normal(x.shape)
+        draws = rng.standard_normal((2,) + out.shape)  # real parts, then imaginary
     else:
-        if len(rng) != len(x):
-            raise ShapeError(f"{len(rng)} generators for {len(x)} rows")
-        re, im = np.empty(x.shape), np.empty(x.shape)
-        for g, re_row, im_row in zip(rng, re, im):
-            g.standard_normal(out=re_row)
-            g.standard_normal(out=im_row)
-    return x + scale * (re + 1j * im)
+        if len(rng) != len(out):
+            raise ShapeError(f"{len(rng)} generators for {len(out)} rows")
+        rows = np.empty((len(out), 2) + out.shape[1:])
+        for g, row in zip(rng, rows):
+            g.standard_normal(out=row)
+        draws = rows.swapaxes(0, 1)
+    draws *= np.sqrt(sigma_z2 / 2.0)
+    out.real += draws[0]
+    out.imag += draws[1]
+    return out
 
 
 def rms_delay_spread(profile: ChannelProfile) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeError, SingularChannelError
-from .modem import fft_demodulate, ifft_modulate
+from .modem import QamConstellation, fft_demodulate, ifft_modulate
 
 
 @dataclass(frozen=True)
@@ -138,10 +138,8 @@ def ber_awgn_qam(M: int, snr) -> np.ndarray | float:
     Exact for M = 4; the standard nearest-neighbor expression
     (4/log2 M)(1 - 1/sqrt(M)) Q(sqrt(3 snr/(M-1))) otherwise.
     """
-    if M < 4 or (M & (M - 1)) or (M.bit_length() - 1) % 2:
-        raise ShapeError(f"M must be an even power of two >= 4, got {M}")
+    k = QamConstellation.square(M).bits_per_symbol  # rejects M that are not square QAM
     snr = np.asarray(snr, dtype=np.float64)
-    k = M.bit_length() - 1
     ber = (4.0 / k) * (1.0 - 1.0 / np.sqrt(M)) * qfunc(np.sqrt(3.0 * snr / (M - 1)))
     return float(ber) if ber.ndim == 0 else ber
 

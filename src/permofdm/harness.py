@@ -169,18 +169,21 @@ def _task_map(workers: int):
 
 def _qam_symbols(bits: np.ndarray, const: QamConstellation):
     """Bit groups on the last axis packed MSB first into QAM (indices, points)."""
-    k = const.bits_per_symbol
-    idx = bits.astype(np.int64) @ (1 << np.arange(k - 1, -1, -1, dtype=np.int64))
+    idx = bits[..., 0].astype(np.int64)
+    for j in range(1, const.bits_per_symbol):
+        idx <<= 1
+        idx |= bits[..., j]
     return idx, const.points[idx]
 
 
 def _error_counts(tx_idx: np.ndarray, rx_idx: np.ndarray, k: int) -> np.ndarray:
-    """(rows, 2) bit and symbol errors in each row (first axis) of tx_idx.
+    """(rows, 2) int64 bit and symbol errors in each row (first axis) of tx_idx.
 
     rx_idx holds the decided k-bit QAM indices in the same order, in any shape.
     """
     diff = (tx_idx ^ rx_idx.reshape(tx_idx.shape)).reshape(len(tx_idx), -1)
-    bit_errors = (diff[..., None] >> np.arange(k, dtype=np.int64) & 1).sum(axis=(1, 2))
+    popcount = (np.arange(1 << k)[:, None] >> np.arange(k) & 1).sum(axis=1, dtype=np.uint8)
+    bit_errors = popcount[diff].sum(axis=1, dtype=np.int64)
     return np.stack([bit_errors, np.count_nonzero(diff, axis=1)], axis=1)
 
 
@@ -280,23 +283,23 @@ def _ber_chunk_entry(task):
         taps = np.stack([draw_rayleigh_channel(cfg.profile, rng).taps for rng in rngs])
     h = freq_response(taps, n)
 
-    bits = np.stack([rng.integers(0, 2, size=(l_eff, n, k), dtype=np.uint8) for rng in rngs])
-    tx_idx, d = _qam_symbols(bits, const)
-    x = ifft_modulate(d)
+    # rebinding x frees each stage's input, so a chunk holds few full-size arrays
+    tx_idx, x = _qam_symbols(
+        np.stack([rng.integers(0, 2, size=(l_eff, n, k), dtype=np.uint8) for rng in rngs]), const)
+    x = ifft_modulate(x)
     positions = _chunk_positions(cfg, point_index, b0, b1)
-    tx = x if positions is None else x.reshape(-1)[positions].reshape(x.shape)
+    x = x if positions is None else x.reshape(-1)[positions].reshape(x.shape)
 
     noise = NoiseSpec.from_snr_db(snr_db)
-    stream = add_cp(tx, n_cp).reshape(count, -1)
-    rx = add_awgn(apply_channel_stream(stream, taps), noise, rngs)
+    x = add_cp(x, n_cp).reshape(count, -1)
+    x = add_awgn(apply_channel_stream(x, taps), noise, rngs)
 
-    un = remove_cp(rx.reshape(count, l_eff, n + n_cp), n, n_cp)
-    eq = equalize(un, h[:, None, :], cfg.equalizer, snr=noise.snr)
-    s = eq
+    x = remove_cp(x.reshape(count, l_eff, n + n_cp), n, n_cp)
+    x = equalize(x, h[:, None, :], cfg.equalizer, snr=noise.snr)
     if positions is not None:  # one scatter de-permutes every block
-        s = np.empty_like(eq)
-        s.reshape(-1)[positions] = eq.reshape(count, -1)
-    rx_idx = qam_point_indices(fft_demodulate(s), const)
+        x, eq = np.empty_like(x), x
+        x.reshape(-1)[positions] = eq.reshape(count, -1)
+    rx_idx = qam_point_indices(fft_demodulate(x), const)
     return _error_counts(tx_idx, rx_idx, k)
 
 
@@ -600,7 +603,6 @@ def measure_ici(perm: Permutation, trials: int, n: int, m: int = 4,
         raise ShapeError("trials must be >= 1")
     l_eff = perm.size // n
     const = QamConstellation.square(m)
-    kbits = const.bits_per_symbol
     acc_yd = np.zeros((l_eff, n), dtype=np.complex128)
     acc_yy = np.zeros((l_eff, n), dtype=np.float64)
     acc_dd = np.zeros((l_eff, n), dtype=np.float64)

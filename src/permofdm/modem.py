@@ -48,11 +48,9 @@ class QamConstellation:
         bpa = k // 2
         L = 1 << bpa
         scale = 1.0 / np.sqrt(2.0 * (L * L - 1) / 3.0)
+        level = np.array([(L - 1 - 2 * gray_to_binary(g)) * scale for g in range(L)])
         pts = np.empty(M, dtype=np.complex128)
-        for p in range(M):
-            bi = gray_to_binary(p >> bpa)
-            bq = gray_to_binary(p & (L - 1))
-            pts[p] = complex((L - 1 - 2 * bi) * scale, (L - 1 - 2 * bq) * scale)
+        pts.real, pts.imag = level[np.arange(M) >> bpa], level[np.arange(M) & (L - 1)]
         pts.setflags(write=False)
         return cls(M=M, points=pts, bits_per_symbol=k, levels_per_axis=L, scale=scale)
 
@@ -82,10 +80,10 @@ def qam_demodulate(symbols: np.ndarray, c: QamConstellation) -> np.ndarray:
 
 def qam_point_indices(symbols: np.ndarray, c: QamConstellation) -> np.ndarray:
     sym = np.ascontiguousarray(np.asarray(symbols, dtype=np.complex128).reshape(-1))
-    return _kernels.demod_points(
-        sym.real.copy(), sym.imag.copy(), c.levels_per_axis,
-        c.bits_per_symbol // 2, c.scale,
-    )
+    if not np.isfinite(sym).all():
+        raise ShapeError("symbols must be finite to be decided")
+    bpa = c.bits_per_symbol // 2
+    return _kernels.demod_points(sym.real, sym.imag, c.levels_per_axis, bpa, c.scale)
 
 
 def ifft_modulate(d: np.ndarray) -> np.ndarray:
@@ -110,8 +108,6 @@ def add_cp(x: np.ndarray, n_cp: int) -> np.ndarray:
     n = x.shape[-1]
     if n_cp < 0 or n_cp > n:
         raise FramingError(f"n_cp={n_cp} outside [0, {n}]")
-    if n_cp == 0:
-        return x.copy()
     return np.concatenate([x[..., n - n_cp:], x], axis=-1)
 
 

@@ -240,6 +240,28 @@ class TestAwgn:
         corr = np.vdot(z[:-1], z[1:]) / (n - 1)
         assert abs(corr) < 0.005
 
+    @pytest.mark.parametrize("shape", [(7,), (3, 40), (2, 3, 5)])
+    def test_matches_complex_sum_of_draws(self, shape):
+        x = np.arange(np.prod(shape), dtype=complex).reshape(shape) * (1 - 0.5j)
+        noise = NoiseSpec.from_snr_db(4.0)
+        scale = np.sqrt(noise.sigma_z2 / 2.0)
+        rng = np.random.default_rng(29)
+        re, im = rng.standard_normal(shape), rng.standard_normal(shape)
+        assert np.array_equal(add_awgn(x, noise, np.random.default_rng(29)),
+                              x + scale * (re + 1j * im))
+        want = np.empty_like(x)
+        for b in range(shape[0]):
+            g = np.random.default_rng((29, b))
+            re, im = g.standard_normal(shape[1:]), g.standard_normal(shape[1:])
+            want[b] = x[b] + scale * (re + 1j * im)
+        got = add_awgn(x, noise, [np.random.default_rng((29, b)) for b in range(shape[0])])
+        assert np.array_equal(got, want)
+
+    def test_input_is_not_modified(self):
+        x = np.ones(8, dtype=complex)
+        add_awgn(x, 1.0, np.random.default_rng(30))
+        assert np.array_equal(x, np.ones(8))
+
     def test_noise_spec_roundtrip(self):
         ns = NoiseSpec.from_snr_db(7.0)
         assert abs(ns.snr_db - 7.0) < 1e-12

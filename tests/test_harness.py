@@ -15,6 +15,7 @@ from permofdm import (
     NoiseSpec,
     Permutation,
     PointResult,
+    QamConstellation,
     SecretKey,
     SerAttackConfig,
     ShapeError,
@@ -110,6 +111,36 @@ class TestMixSamples:
             first[int(mix_samples(x, n, rng)[0].real)] += 1
         # each value lands first with probability ~1/6
         assert np.all(np.abs(first / trials - 1 / n) < 0.03)
+
+
+class TestChainStages:
+    """The harness's own stages against the matmul packing and the
+    shift-and-mask bit count they replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.sampled_from((4, 16, 64)), shape=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_qam_symbols_match_matmul_packing(self, m, shape, seed):
+        const = QamConstellation.square(m)
+        k = const.bits_per_symbol
+        bits = np.random.default_rng(seed).integers(0, 2, size=(*shape, k), dtype=np.uint8)
+        idx, d = harness._qam_symbols(bits, const)
+        want = bits.astype(np.int64) @ (1 << np.arange(k - 1, -1, -1, dtype=np.int64))
+        assert idx.dtype == np.int64 and np.array_equal(idx, want)
+        assert np.array_equal(d, const.points[want])
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.sampled_from((2, 4, 6)), rows=st.integers(1, 4), cols=st.integers(1, 50),
+           seed=st.integers(0, 2**32 - 1))
+    def test_error_counts_match_shift_and_mask(self, k, rows, cols, seed):
+        rng = np.random.default_rng(seed)
+        tx = rng.integers(0, 1 << k, size=(rows, 1, cols))
+        rx = np.where(rng.random(tx.shape) < 0.5, tx, rng.integers(0, 1 << k, size=tx.shape))
+        got = harness._error_counts(tx, rx.reshape(-1), k)
+        diff = (tx ^ rx).reshape(rows, -1)
+        bit_errors = (diff[..., None] >> np.arange(k, dtype=np.int64) & 1).sum(axis=(1, 2))
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.stack([bit_errors, np.count_nonzero(diff, axis=1)], axis=1))
 
 
 class TestBerExperiment:

@@ -1,5 +1,7 @@
 """Kernel-level checks against slow reference oracles."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -53,6 +55,55 @@ class TestDemodPoints:
             got = _kernels.demod_points(y.real.copy(), y.imag.copy(), L, bpa, s)
             want = np.argmin(np.abs(y[:, None] - pts[None, :]), axis=1)
             assert np.array_equal(got, want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(pair=st.sampled_from(_pairs()),
+           scale=st.one_of(st.floats(1e-3, 1e3), st.sampled_from((2.0 ** -6, 0.25, 1.0, 8.0))),
+           data=st.data())
+    def test_matches_reference_and_exact_argmin(self, pair, scale, data):
+        # symbols on the level and midpoint grid, their float neighbours, and
+        # anywhere within a margin of the constellation, at a random or a
+        # dyadic scale; where the grid is not exact the ties are near-ties
+        M, L, bpa = pair
+        lv = (L - 1 - 2 * np.arange(L)) * scale
+        grid = np.concatenate([lv, (lv[:-1] + lv[1:]) / 2.0, [0.0, -0.0]])
+        grid = np.concatenate([grid, np.nextafter(grid, np.inf), np.nextafter(grid, -np.inf)])
+        coord = st.one_of(st.sampled_from(grid.tolist()),
+                          st.floats(-1.5 * L * scale, 1.5 * L * scale))
+        re = np.array(data.draw(st.lists(coord, min_size=1, max_size=40)))
+        im = np.array(data.draw(st.lists(coord, min_size=len(re), max_size=len(re))))
+        got = _kernels.demod_points(re, im, L, bpa, scale)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _demod_points_reference(re, im, L, bpa, scale))
+        assert np.array_equal(got, _exact_argmin(re, im, _points(L, bpa, scale)))
+
+
+def _demod_points_reference(re, im, L, bpa, scale):
+    """The per-element Gray arithmetic the tie table replaced."""
+    def axis(v):
+        t = (L - 1 - v / scale) / 2.0
+        bf = np.clip(np.floor(t), 0, L - 2).astype(np.int64)
+        d0 = np.abs(v - (L - 1 - 2 * bf) * scale)
+        d1 = np.abs(v - (L - 3 - 2 * bf) * scale)
+        g0 = bf ^ (bf >> 1)
+        g1 = (bf + 1) ^ ((bf + 1) >> 1)
+        take1 = (d1 < d0) | ((d1 == d0) & (g1 < g0))
+        return np.where(take1, bf + 1, bf)
+    bi, bq = axis(re), axis(im)
+    return ((bi ^ (bi >> 1)) << bpa) | (bq ^ (bq >> 1))
+
+
+def _exact_argmin(re, im, pts):
+    """Nearest point by exact squared distance, ties to the lowest index.
+
+    The per-axis offsets are float differences, as any float demodulator
+    forms them; only their squares and sums are exact.
+    """
+    out = []
+    for y_re, y_im in zip(re.tolist(), im.tolist()):
+        dist = [Fraction(y_re - p.real) ** 2 + Fraction(y_im - p.imag) ** 2 for p in pts]
+        out.append(dist.index(min(dist)))
+    return np.array(out)
 
 
 # sizes whose largest index sits at or next to a byte-width edge

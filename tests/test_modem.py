@@ -3,6 +3,7 @@ unitarity against a direct DFT oracle, and cyclic prefix framing."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from permofdm import (
     FramingError,
@@ -96,6 +97,28 @@ class TestQamMapping:
         c16 = QamConstellation.square(16)
         assert qam_demodulate(np.array([0j]), c16).tolist() == [0, 1, 0, 1]
 
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.sampled_from((4, 16, 64)), data=st.data())
+    def test_points_and_bits_round_trip(self, m, data):
+        c = QamConstellation.square(m)
+        idx = np.array(data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=200)))
+        assert np.array_equal(qam_point_indices(c.points[idx], c), idx)
+        bits = np.array(data.draw(st.lists(st.integers(0, 1), min_size=1, max_size=50)),
+                        dtype=np.uint8).repeat(c.bits_per_symbol)
+        assert np.array_equal(qam_demodulate(qam_modulate(bits, c), c), bits)
+
+    @pytest.mark.parametrize("m", (4, 16, 64))
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    @pytest.mark.parametrize("quadrature", (False, True))
+    def test_non_finite_symbols_rejected(self, m, bad, quadrature):
+        c = QamConstellation.square(m)
+        y = c.points[:4].copy()
+        y[2] = complex(0.1, bad) if quadrature else complex(bad, 0.1)
+        with pytest.raises(ShapeError):
+            qam_point_indices(y, c)
+        with pytest.raises(ShapeError):
+            qam_demodulate(y, c)
+
     def test_bit_count_validation(self):
         c = QamConstellation.square(16)
         with pytest.raises(ShapeError):
@@ -161,6 +184,15 @@ class TestCyclicPrefix:
         framed = add_cp(x, 4)
         assert framed.shape == (3, 20)
         assert np.array_equal(remove_cp(framed, 16, 4), x)
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 40), lead=st.lists(st.integers(0, 3), max_size=3), data=st.data())
+    def test_remove_undoes_add(self, n, lead, data):
+        n_cp = data.draw(st.integers(0, n))
+        x = np.random.default_rng(n).normal(size=(*lead, n, 2)).view(complex)[..., 0]
+        framed = add_cp(x, n_cp)
+        assert framed.shape == (*lead, n + n_cp)
+        assert np.array_equal(remove_cp(framed, n, n_cp), x)
 
     def test_framing_errors(self):
         x = np.arange(8, dtype=complex)
