@@ -49,8 +49,7 @@ class QamConstellation:
         L = 1 << bpa
         scale = 1.0 / np.sqrt(2.0 * (L * L - 1) / 3.0)
         level = np.array([(L - 1 - 2 * gray_to_binary(g)) * scale for g in range(L)])
-        pts = np.empty(M, dtype=np.complex128)
-        pts.real, pts.imag = level[np.arange(M) >> bpa], level[np.arange(M) & (L - 1)]
+        pts = level[np.arange(M) >> bpa] + 1j * level[np.arange(M) & (L - 1)]
         pts.setflags(write=False)
         return cls(M=M, points=pts, bits_per_symbol=k, levels_per_axis=L, scale=scale)
 
@@ -79,6 +78,7 @@ def qam_demodulate(symbols: np.ndarray, c: QamConstellation) -> np.ndarray:
 
 
 def qam_point_indices(symbols: np.ndarray, c: QamConstellation) -> np.ndarray:
+    """Index of the nearest point to each symbol; ShapeError if any is not finite."""
     sym = np.ascontiguousarray(np.asarray(symbols, dtype=np.complex128).reshape(-1))
     if not np.isfinite(sym).all():
         raise ShapeError("symbols must be finite to be decided")
