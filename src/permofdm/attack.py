@@ -12,7 +12,6 @@ import warnings
 
 import numpy as np
 
-from . import _kernels
 from .errors import AmbiguousMatchWarning, BruteForceCostError, ShapeError
 from .permcipher import Permutation, keyspace_bits
 
@@ -23,17 +22,16 @@ def match_noiseless(x_known: np.ndarray, y_observed: np.ndarray,
                     tolerance: float = 1e-9) -> Permutation:
     """Greedy nearest-value assignment of observed samples to known ones.
 
-    Positions are matched in ascending order of their best-match distance,
-    each consuming its nearest still-unused source sample.  If any
-    assignment had two candidates closer than `tolerance` apart, an
-    AmbiguousMatchWarning is issued (the assignment is still returned).
+    The matching order is greedy_assign's.  If any assignment had two
+    candidates closer than `tolerance` apart, an AmbiguousMatchWarning is
+    issued (the assignment is still returned).
     """
     x = np.ascontiguousarray(np.asarray(x_known, dtype=np.complex128).reshape(-1))
     y = np.ascontiguousarray(np.asarray(y_observed, dtype=np.complex128).reshape(-1))
     if x.size != y.size or x.size == 0:
         raise ShapeError("known and observed blocks must have equal nonzero size")
     dist = np.abs(y[:, None] - x[None, :])
-    perm, n_ambiguous = _kernels.greedy_assign(dist, float(tolerance))
+    perm, n_ambiguous = greedy_assign(dist, float(tolerance))
     if n_ambiguous:
         warnings.warn(
             f"{n_ambiguous} assignment(s) had candidates within {tolerance:g}; "
@@ -63,8 +61,8 @@ def averaging_attack(x_known: np.ndarray, observations: np.ndarray,
 def brute_force_attack(x_known: np.ndarray, y_observed: np.ndarray) -> Permutation:
     """Exhaustive least-squares search over all size! permutations.
 
-    Refuses sizes above BRUTE_FORCE_MAX_SIZE with a cost report; ties in
-    the residual resolve to the lexicographically smallest map.
+    Refuses sizes above BRUTE_FORCE_MAX_SIZE with a cost report; ties
+    resolve as in brute_force_scan.
     """
     x = np.ascontiguousarray(np.asarray(x_known, dtype=np.complex128).reshape(-1))
     y = np.ascontiguousarray(np.asarray(y_observed, dtype=np.complex128).reshape(-1))
@@ -74,8 +72,45 @@ def brute_force_attack(x_known: np.ndarray, y_observed: np.ndarray) -> Permutati
     if size > BRUTE_FORCE_MAX_SIZE:
         raise BruteForceCostError(size, keyspace_bits(size))
     cands = np.array(list(itertools.permutations(range(size))), dtype=np.int64)
-    idx, _ = _kernels.brute_force_scan(cands, x, y)
+    idx, _ = brute_force_scan(cands, x, y)
     return Permutation(map=cands[idx])
+
+
+def greedy_assign(dist, tol):
+    """(perm, ambiguous count) from dist[n, k] = |y_n - x_k|.
+
+    Positions are processed in ascending order of their best-match
+    distance; each takes its nearest still-unused source.  An assignment
+    is ambiguous when its two closest unused candidates were within tol of
+    each other.
+    """
+    size = dist.shape[0]
+    order = np.argsort(dist.min(axis=1), kind="stable")
+    used = np.zeros(size, dtype=bool)
+    perm = np.empty(size, dtype=np.int64)
+    n_ambiguous = 0
+    for n in order:
+        row = np.where(used, np.inf, dist[n])
+        k = int(np.argmin(row))
+        if size - int(used.sum()) > 1:
+            second = np.partition(row, 1)[1]
+            if second - row[k] < tol:
+                n_ambiguous += 1
+        perm[n] = k
+        used[k] = True
+    return perm, n_ambiguous
+
+
+def brute_force_scan(cands, x, y):
+    """(index, residual) of the first candidate map minimizing sum |y_n - x[cand[n]]|^2.
+
+    cands is in lexicographic order, so ties resolve to the
+    lexicographically smallest map.
+    """
+    res = np.abs(y[None, :] - x[cands]) ** 2
+    total = res.sum(axis=1)
+    idx = int(np.argmin(total))
+    return idx, float(total[idx])
 
 
 def recovery_rate(estimate: Permutation, truth: Permutation) -> float:

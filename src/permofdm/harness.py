@@ -41,11 +41,13 @@ from .modem import (
     fft_demodulate,
     ifft_modulate,
     qam_point_indices,
+    qam_symbols,
     remove_cp,
 )
 from .permcipher import (
     Permutation,
     SecretKey,
+    decrypt_block,
     derive_permutation,
     derive_permutations,
     encrypt_block,
@@ -133,6 +135,11 @@ def _check_seed(seed: int) -> int:
     return seed
 
 
+def _check_channel_order(profile: ChannelProfile, n: int) -> None:
+    if profile.max_delay >= n:
+        raise ShapeError(f"channel order {profile.max_delay} must be < n = {n}")
+
+
 def _check_workers(workers: int) -> None:
     if workers < 1:
         raise ShapeError(f"workers must be >= 1, got {workers}")
@@ -165,15 +172,6 @@ def _task_map(workers: int):
                 for future in pending:
                     future.cancel()
         yield imap
-
-
-def _qam_symbols(bits: np.ndarray, const: QamConstellation):
-    """Bit groups on the last axis packed MSB first into QAM (indices, points)."""
-    idx = bits[..., 0].astype(np.int64)
-    for j in range(1, const.bits_per_symbol):
-        idx <<= 1
-        idx |= bits[..., j]
-    return idx, const.points[idx]
 
 
 def _error_counts(tx_idx: np.ndarray, rx_idx: np.ndarray, k: int) -> np.ndarray:
@@ -229,6 +227,8 @@ class BerExperimentConfig:
         QamConstellation.square(self.m)
         if not 0 <= self.n_cp <= self.n:
             raise ShapeError(f"n_cp={self.n_cp} outside [0, {self.n}]")
+        if self.channel == "rayleigh":
+            _check_channel_order(self.profile, self.n)
         if self.min_errors < 0:
             raise ShapeError("min_errors must be >= 0")
         if self.min_blocks is not None and self.min_blocks < 0:
@@ -245,23 +245,16 @@ class BerExperimentConfig:
         return self.key if self.key is not None else _derive_key_from_seed(self.seed)
 
 
-def _chunk_positions(cfg: BerExperimentConfig, point_index: int, b0: int, b1: int):
-    """Flat positions that permute blocks [b0, b1) stacked as rows: (B, P), or None.
-
-    Row r of a (B, P) stack gathered at these positions carries block b0 + r
-    scrambled by its own map; scattering to them unscrambles it.
-    """
+def _chunk_permutation(cfg: BerExperimentConfig, point_index: int, b0: int, b1: int):
+    """The permutation of blocks [b0, b1) of one point, or None when not interleaved."""
+    if cfg.interleaver == "transpose":
+        return transpose_interleaver(cfg.n)
     if cfg.interleaver == "none":
         return None
+    key, base = cfg.resolve_key(), point_index * cfg.blocks
     size = cfg.symbols_per_block * cfg.n
-    if cfg.interleaver == "transpose":
-        maps = transpose_interleaver(cfg.n).map
-    else:
-        key, base = cfg.resolve_key(), point_index * cfg.blocks
-        maps = np.empty((b1 - b0, size), dtype=np.int64)
-        for row, block_index in enumerate(range(b0, b1)):
-            maps[row] = derive_permutation(key, base + block_index, size).map
-    return maps + size * np.arange(b1 - b0)[:, None]
+    maps = [derive_permutation(key, base + b, size).map for b in range(b0, b1)]
+    return Permutation(map=np.stack(maps), block_index=base + b0)
 
 
 def _ber_chunk_entry(task):
@@ -284,11 +277,11 @@ def _ber_chunk_entry(task):
     h = freq_response(taps, n)
 
     # rebinding x frees each stage's input, so a chunk holds few full-size arrays
-    tx_idx, x = _qam_symbols(
+    tx_idx, x = qam_symbols(
         np.stack([rng.integers(0, 2, size=(l_eff, n, k), dtype=np.uint8) for rng in rngs]), const)
     x = ifft_modulate(x)
-    positions = _chunk_positions(cfg, point_index, b0, b1)
-    x = x if positions is None else x.reshape(-1)[positions].reshape(x.shape)
+    perm = _chunk_permutation(cfg, point_index, b0, b1)
+    x = x if perm is None else encrypt_block(x, perm)
 
     noise = NoiseSpec.from_snr_db(snr_db)
     x = add_cp(x, n_cp).reshape(count, -1)
@@ -296,9 +289,7 @@ def _ber_chunk_entry(task):
 
     x = remove_cp(x.reshape(count, l_eff, n + n_cp), n, n_cp)
     x = equalize(x, h[:, None, :], cfg.equalizer, snr=noise.snr)
-    if positions is not None:  # one scatter de-permutes every block
-        x, eq = np.empty_like(x), x
-        x.reshape(-1)[positions] = eq.reshape(count, -1)
+    x = x if perm is None else decrypt_block(x, perm)
     rx_idx = qam_point_indices(fft_demodulate(x), const)
     return _error_counts(tx_idx, rx_idx, k)
 
@@ -417,7 +408,7 @@ def _ser_chunk_entry(task):
     noise = NoiseSpec.from_snr_db(cfg.snr_db)
 
     k = const.bits_per_symbol
-    tx_idx, d = _qam_symbols(rng.integers(0, 2, size=(count, cfg.n, k), dtype=np.uint8), const)
+    tx_idx, d = qam_symbols(rng.integers(0, 2, size=(count, cfg.n, k), dtype=np.uint8), const)
     x = ifft_modulate(d)
     mixed = np.empty_like(x)
     for t in range(count):
@@ -489,12 +480,13 @@ def _recovery_trial_entry(task):
 
     base = trial_index * cfg.repeats
     if cfg.fresh_perm_per_block:
-        maps = derive_permutations(key, range(base, base + cfg.repeats), size)
-        truth = Permutation(map=maps[0], block_index=base)
-        obs = x[maps]
+        perm = Permutation(map=derive_permutations(key, range(base, base + cfg.repeats), size),
+                           block_index=base)
+        truth = Permutation(map=perm.map[0], block_index=base)
+        obs = encrypt_block(np.broadcast_to(x, perm.map.shape), perm)
     else:
         truth = derive_permutation(key, base, size)
-        obs = np.broadcast_to(encrypt_block(x, truth), (cfg.repeats, size)).copy()
+        obs = np.broadcast_to(encrypt_block(x, truth), (cfg.repeats, size))
     obs = add_awgn(obs, noise, rng)
     est = averaging_attack(x, obs)
     hits = int(round(recovery_rate(est, truth) * size))
@@ -536,6 +528,7 @@ class SnrAnalysisConfig:
 
     def __post_init__(self):
         _check_seed(self.seed)
+        _check_channel_order(self.profile, self.n)
         QamConstellation.square(self.m)
         if self.blocks < 1:
             raise ShapeError("blocks must be >= 1")
@@ -597,8 +590,8 @@ def measure_ici(perm: Permutation, trials: int, n: int, m: int = 4,
     sending QAM data through permute -> FFT with no channel or noise."""
     if n < 1:
         raise ShapeError(f"n must be >= 1, got {n}")
-    if perm.size % n:
-        raise ShapeError(f"permutation size {perm.size} is not a multiple of n={n}")
+    if perm.map.ndim != 1 or perm.size % n:
+        raise ShapeError(f"need one map whose size is a multiple of n={n}, got {perm.map.shape}")
     if trials < 1:
         raise ShapeError("trials must be >= 1")
     l_eff = perm.size // n
@@ -616,8 +609,7 @@ def measure_ici(perm: Permutation, trials: int, n: int, m: int = 4,
         idx = rng.integers(0, const.M, size=(count, l_eff, n))
         d = const.points[idx]
         x = ifft_modulate(d)
-        y = x.reshape(count, -1)[:, perm.map].reshape(count, l_eff, n)
-        yf = fft_demodulate(y)
+        yf = fft_demodulate(encrypt_block(x, perm))
         acc_yd += (yf * np.conj(d)).sum(axis=0)
         acc_yy += (np.abs(yf) ** 2).sum(axis=0)
         acc_dd += (np.abs(d) ** 2).sum(axis=0)
@@ -636,7 +628,7 @@ def measure_ici(perm: Permutation, trials: int, n: int, m: int = 4,
 def ici_alpha_exact(perm: Permutation, n: int) -> np.ndarray:
     """Closed form of the same coefficient for a single-symbol permutation:
     alpha_k = (1/N) sum_n exp(2j pi k (pi[n] - n) / N)."""
-    if perm.size != n:
+    if perm.map.shape != (n,):
         raise ShapeError("closed form applies to single-symbol permutations")
     k = np.arange(n)[:, None]
     shift = (perm.map - np.arange(n))[None, :]

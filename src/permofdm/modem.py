@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .errors import FramingError, ShapeError
 
 
@@ -65,9 +64,16 @@ def qam_modulate(bits: np.ndarray, c: QamConstellation) -> np.ndarray:
         raise ShapeError(
             f"bit count {bits.size} is not a multiple of {c.bits_per_symbol}"
         )
-    groups = bits.reshape(-1, c.bits_per_symbol).astype(np.int64)
-    weights = 1 << np.arange(c.bits_per_symbol - 1, -1, -1, dtype=np.int64)
-    return c.points[groups @ weights]
+    return qam_symbols(bits.reshape(-1, c.bits_per_symbol).astype(np.int64), c)[1]
+
+
+def qam_symbols(bits: np.ndarray, c: QamConstellation):
+    """Bit groups on the last axis packed MSB first: (point indices, points)."""
+    idx = bits[..., 0].astype(np.int64)
+    for j in range(1, c.bits_per_symbol):
+        idx <<= 1
+        idx |= bits[..., j]
+    return idx, c.points[idx]
 
 
 def qam_demodulate(symbols: np.ndarray, c: QamConstellation) -> np.ndarray:
@@ -83,7 +89,33 @@ def qam_point_indices(symbols: np.ndarray, c: QamConstellation) -> np.ndarray:
     if not np.isfinite(sym).all():
         raise ShapeError("symbols must be finite to be decided")
     bpa = c.bits_per_symbol // 2
-    return _kernels.demod_points(sym.real, sym.imag, c.levels_per_axis, bpa, c.scale)
+    return demod_points(sym.real, sym.imag, c.levels_per_axis, bpa, c.scale)
+
+
+def demod_points(re, im, L, bpa, scale):
+    """Point index of the nearest point, ties toward the lowest index.
+
+    Each axis is decided on its own: a sample is weighed against level
+    b = floor((L-1 - v/scale)/2), clipped to 0..L-2, and level b + 1, each
+    distance computed from its own level, so a sample on a level or a
+    midpoint ties exactly.  A tie goes to the smaller Gray pattern, which
+    makes the I/Q decision the nearest point with ties toward the lowest
+    point index; a table of L-1 flags, indexed by b, says when that is
+    b + 1.  For L == 2, b is 0 and its flag is False, so neither is needed.
+    """
+    return (_demod_axis(re, L, scale) << bpa) | _demod_axis(im, L, scale)
+
+
+def _demod_axis(v, L, scale):
+    """Gray pattern of the level nearest each sample (bool when L == 2)."""
+    if L == 2:
+        return np.abs(v + scale) < np.abs(v - scale)
+    b = np.clip(np.floor((L - 1 - v / scale) / 2.0), 0, L - 2).astype(np.int64)
+    d0 = np.abs(v - (L - 1 - 2 * b) * scale)
+    d1 = np.abs(v - (L - 3 - 2 * b) * scale)
+    g = np.arange(L) ^ (np.arange(L) >> 1)
+    b += (d1 < d0) | ((d1 == d0) & (g[1:] < g[:-1])[b])
+    return b ^ (b >> 1)
 
 
 def ifft_modulate(d: np.ndarray) -> np.ndarray:

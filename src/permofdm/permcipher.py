@@ -20,6 +20,11 @@ a longer stream replays the same shuffle.
 many blocks in one lockstep pass and gives the same maps.  The batched call
 is faster only for many small blocks, so callers that need one block at a
 time, or a few large ones, use ``derive_permutation``.
+
+``encrypt_block`` and ``decrypt_block`` are the only code that applies a
+map.  They take any number of whole blocks at once: a ``Permutation`` holds
+one map, which serves every block, or a (B, size) stack, whose row r serves
+block r.
 """
 
 import functools
@@ -31,7 +36,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
-from . import _kernels
 from .errors import KeyFormatError, ShapeError
 
 MIN_KEY_BYTES = 16
@@ -65,24 +69,33 @@ class SecretKey:
 
 @dataclass(frozen=True, eq=False)
 class Permutation:
+    """One map of length size, or a (B, size) stack of B maps.
+
+    The map is copied and frozen, so the caller's array stays writable and
+    later writes to it do not reach the Permutation.  block_index is the
+    block of the map, or of a stack's first row.
+    """
+
     map: np.ndarray = field(repr=False)
     block_index: int = 0
 
     def __post_init__(self):
-        m = np.asarray(self.map, dtype=np.int64)
-        if m.ndim != 1 or not np.array_equal(np.sort(m), np.arange(m.size)):
+        m = np.array(self.map)
+        if m.dtype.kind not in "iu":
+            raise ShapeError(f"map must hold integers, got dtype {m.dtype}")
+        m = m.astype(np.int64, copy=False)
+        if m.ndim not in (1, 2) or not (np.sort(m, axis=-1) == np.arange(m.shape[-1])).all():
             raise ShapeError("map is not a permutation of 0..size-1")
         m.setflags(write=False)
         object.__setattr__(self, "map", m)
 
     @property
     def size(self) -> int:
-        return int(self.map.size)
+        return int(self.map.shape[-1])
 
     def inverse(self) -> "Permutation":
-        inv = np.empty_like(self.map)
-        inv[self.map] = np.arange(self.size)
-        return Permutation(map=inv, block_index=self.block_index)
+        ramp = np.broadcast_to(np.arange(self.size), self.map.shape)
+        return Permutation(map=decrypt_block(ramp, self), block_index=self.block_index)
 
     @classmethod
     def identity(cls, size: int) -> "Permutation":
@@ -117,6 +130,139 @@ def _stream_bytes(size: int) -> int:
     return need
 
 
+def fisher_yates(stream, size):
+    """(perm, bytes read, ok): the key schedule's shuffle run on one byte stream.
+
+    ok is False when the stream ran out; perm then holds the swaps drawn so
+    far.  Every i in one byte-width band reads words of the same width, so
+    the rest of the stream is split into words once per band and the draws
+    scan a Python sequence instead of indexing numpy bytes one at a time.
+    """
+    perm = list(range(size))
+    pos = 0
+    top = max(size - 1, 0).bit_length()
+    while top:
+        nbytes = (top + 7) >> 3
+        floor = 8 * nbytes - 8
+        words = _words(stream, pos, nbytes)
+        k = 0
+        try:
+            for nbits in range(top, floor, -1):
+                mask = (1 << nbits) - 1
+                for i in range(min(mask, size - 1), mask >> 1, -1):
+                    v = words[k] & mask
+                    k += 1
+                    while v > i:
+                        v = words[k] & mask
+                        k += 1
+                    perm[i], perm[v] = perm[v], perm[i]
+        except IndexError:
+            return np.array(perm, dtype=np.int64), pos + k * nbytes, False
+        pos += k * nbytes
+        top = floor
+    return np.array(perm, dtype=np.int64), pos, True
+
+
+def _words(stream, pos, nbytes):
+    """Unread bytes as big-endian nbytes-wide ints; a partial tail is dropped."""
+    if nbytes == 1:
+        return stream[pos:].tobytes()  # indexing bytes yields ints directly
+    k = (stream.shape[0] - pos) // nbytes
+    return _join_bytes(stream[pos:pos + k * nbytes].reshape(k, nbytes)).tolist()
+
+
+def _join_bytes(groups):
+    """(..., nbytes) uint8 groups as big-endian ints of the next numpy width."""
+    nbytes = groups.shape[-1]
+    width = 1 << (nbytes - 1).bit_length()  # numpy has no 3-, 5-, 6- or 7-byte ints
+    if width != nbytes:
+        pad = [(0, 0)] * (groups.ndim - 1) + [(width - nbytes, 0)]
+        groups = np.pad(groups, pad)
+    return groups.view(f">u{width}")[..., 0]
+
+
+def fisher_yates_lockstep(streams, size):
+    """(perms, ok): row r is fisher_yates(streams[r], size), for B rows at once.
+
+    This is Knuth's Algorithm P, batched.  Per byte-width band each row's
+    unread bytes are split into words once, held transposed as (K, B) in
+    their narrow width, and the rows step over word columns together: a row
+    still inside the band tests its next word against its own i and
+    decrements i on acceptance.  A row's draw for i is kept in draws[i],
+    written every step: a rejected word is overwritten by the accepted one,
+    since the row stays at i until it accepts; a row past the band writes
+    draws[low - 1], which the next band overwrites, and a row that is done
+    writes draws[0], which no swap reads.  The swaps run afterwards, one
+    fancy-index swap across all rows per i.  A row that runs out of words
+    gets ok False, draws[i] = i from its stalled i down (no swap), and so
+    keeps the swaps drawn so far, as fisher_yates does.
+    """
+    B, n = streams.shape
+    cols = np.arange(B)
+    draws = np.empty((size, B), dtype=np.int64)
+    draws[:] = np.arange(size)[:, None]  # j == i is no swap
+    ok = np.ones(B, dtype=bool)
+    i = np.full(B, size - 1, dtype=np.int64)
+    pos = np.zeros(B, dtype=np.int64)
+    masks = np.zeros(size, dtype=np.int64)
+    for b in range(1, size.bit_length() + 1):
+        masks[1 << (b - 1):1 << b] = (1 << b) - 1
+    top = max(size - 1, 0).bit_length()
+    while top:
+        nbytes = (top + 7) >> 3
+        floor = 8 * nbytes - 8
+        low = 1 << floor
+        avail = (n - pos) // nbytes
+        words = _band_words(streams, pos, nbytes, int(avail.max()))
+        cuts = set(avail.tolist())
+        used = np.zeros(B, dtype=np.int64)
+        for k in range(words.shape[0] + 1):
+            if k in cuts:
+                dead = np.flatnonzero((avail == k) & (i >= low))
+                draws[i[dead], dead] = i[dead]
+                ok[dead] = False
+                i[dead] = 0
+            if k == words.shape[0]:
+                break
+            live = i >= low
+            if not live.any():
+                break
+            used += live
+            v = words[k] & masks[i]
+            draws[i, cols] = v
+            i -= live & (v <= i)
+        pos += used * nbytes
+        top = floor
+    perms = np.tile(np.arange(size, dtype=np.int64), (B, 1))
+    for step in range(size - 1, 0, -1):
+        j = draws[step]
+        held = perms[:, step].copy()
+        perms[:, step] = perms[cols, j]
+        perms[cols, j] = held
+    return perms, ok
+
+
+def _band_words(streams, pos, nbytes, k):
+    """(k, B) big-endian nbytes-wide words of each row's bytes from pos on.
+
+    Words past a row's end read as zeros; the caller knows where each row
+    ends.  Rows all at byte 0, as in the first band, need no gather.
+    """
+    B, n = streams.shape
+    lo, hi = int(pos.min()), int(pos.max())
+    if lo == hi:
+        rest = streams[:, lo:lo + k * nbytes]
+    else:
+        padded = np.zeros((B, max(n, hi + k * nbytes)), dtype=np.uint8)
+        padded[:, :n] = streams
+        windows = np.lib.stride_tricks.sliding_window_view(padded, k * nbytes, axis=1)
+        rest = windows[np.arange(B), pos]
+    if nbytes == 1:
+        return np.ascontiguousarray(rest.T)
+    words = _join_bytes(rest.reshape(B, k, nbytes))
+    return np.ascontiguousarray(words.T, dtype=words.dtype.newbyteorder("="))
+
+
 def _check_block_index(ell) -> int:
     if not 0 <= ell < 1 << 64:
         raise ShapeError("block_index must fit in an unsigned 64-bit counter")
@@ -126,7 +272,7 @@ def _check_block_index(ell) -> int:
 def _shuffle(key: SecretKey, ell: int, size: int, n: int) -> np.ndarray:
     """One block's map from an n-byte keystream, doubling n until it suffices."""
     while True:
-        perm, _, ok = _kernels.fisher_yates(_keystreams(key, (ell,), n)[0], size)
+        perm, _, ok = fisher_yates(_keystreams(key, (ell,), n)[0], size)
         if ok:
             return perm
         n *= 2
@@ -156,7 +302,7 @@ def derive_permutations(key: SecretKey, ells, size: int) -> np.ndarray:
     if size == 1 or not ells:
         return np.zeros((len(ells), size), dtype=np.int64)
     n = 4 * _stream_bytes(size) + 64
-    maps, ok = _kernels.fisher_yates_lockstep(_keystreams(key, ells, n), size)
+    maps, ok = fisher_yates_lockstep(_keystreams(key, ells, n), size)
     for r in np.flatnonzero(~ok):
         maps[r] = _shuffle(key, ells[r], size, 2 * n)
     if not (np.sort(maps, axis=1) == np.arange(size)).all():
@@ -181,27 +327,32 @@ def transpose_interleaver(n: int) -> Permutation:
     )
 
 
-def encrypt_block(x: np.ndarray, p: Permutation) -> np.ndarray:
-    """Scramble samples: output position n holds input sample p.map[n].
+def _positions(p: Permutation, x: np.ndarray) -> np.ndarray:
+    """(B, size) flat positions of x's B blocks that p's maps gather from."""
+    if p.size == 0 or x.size % p.size:
+        raise ShapeError(f"sample count {x.size} is not a whole number of blocks of {p.size}")
+    count = x.size // p.size
+    if p.map.ndim == 2 and len(p.map) != count:
+        raise ShapeError(f"{count} blocks for a stack of {len(p.map)} maps")
+    return p.map + p.size * np.arange(count)[:, None]
 
-    Accepts a flat vector of length p.size or an (L, N) grid with
-    L*N == p.size, flattened symbol-major; shape is preserved.
+
+def encrypt_block(x: np.ndarray, p: Permutation) -> np.ndarray:
+    """Scramble samples: output position n of a block holds its sample map[n].
+
+    x holds whole blocks of p.size samples, flattened in C order (an (L, N)
+    grid with L*N == p.size is one symbol-major block); its shape is kept.
     """
     x = np.asarray(x)
-    if x.size != p.size:
-        raise ShapeError(f"sample count {x.size} != permutation size {p.size}")
-    flat = x.reshape(-1)
-    return flat[p.map].reshape(x.shape)
+    return x.reshape(-1)[_positions(p, x)].reshape(x.shape)
 
 
 def decrypt_block(y: np.ndarray, p: Permutation) -> np.ndarray:
     """Inverse of encrypt_block under the same permutation."""
     y = np.asarray(y)
-    if y.size != p.size:
-        raise ShapeError(f"sample count {y.size} != permutation size {p.size}")
-    flat = y.reshape(-1)
-    out = np.empty_like(flat)
-    out[p.map] = flat
+    positions = _positions(p, y)
+    out = np.empty(y.size, dtype=y.dtype)
+    out[positions] = y.reshape(positions.shape)
     return out.reshape(y.shape)
 
 

@@ -356,6 +356,20 @@ class TestSimulationCommands:
         assert capsys.readouterr().err.startswith("error: n_cp=-1")
 
     @pytest.mark.parametrize("argv", [
+        ["simulate-ber", "--n", "8", "--n-cp", "8"],
+        ["analyze-snr", "--n", "0"],
+    ], ids=["ber", "snr"])
+    def test_channel_longer_than_symbol_fails_before_any_warning(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(argv + ["--seed", "1", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and err[0].startswith("error: channel order 11 must be < n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
         ["simulate-ber", "--interleaver", "keyed", "--n", "16", "--blocks", "1"],
         ["simulate-attack-recovery", "--size", "8", "--repeats", "2", "--trials", "1"],
     ], ids=["ber-keyed", "attack-recovery"])

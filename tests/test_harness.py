@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from permofdm import harness
+from permofdm import harness, modem
 from permofdm import (
     CSV_HEADER,
     FIVE_TAP_PROFILE,
@@ -124,7 +124,7 @@ class TestChainStages:
         const = QamConstellation.square(m)
         k = const.bits_per_symbol
         bits = np.random.default_rng(seed).integers(0, 2, size=(*shape, k), dtype=np.uint8)
-        idx, d = harness._qam_symbols(bits, const)
+        idx, d = modem.qam_symbols(bits, const)
         want = bits.astype(np.int64) @ (1 << np.arange(k - 1, -1, -1, dtype=np.int64))
         assert idx.dtype == np.int64 and np.array_equal(idx, want)
         assert np.array_equal(d, const.points[want])
@@ -308,6 +308,20 @@ class TestBerExperiment:
         assert chunk.shape == (count, 2)
         assert np.array_equal(chunk, np.concatenate(single))
 
+    @pytest.mark.parametrize("kwargs", [dict(n=16, interleaver="transpose"),
+                                        dict(n=32, interleaver="keyed", l_depth=2)],
+                             ids=["transpose", "keyed"])
+    def test_chunk_permutes_through_the_cipher_once(self, monkeypatch, kwargs):
+        calls = {"encrypt_block": 0, "decrypt_block": 0}
+        for name in calls:
+            def counting(x, p, fn=getattr(harness, name), name=name):
+                calls[name] += 1
+                return fn(x, p)
+            monkeypatch.setattr(harness, name, counting)
+        cfg = BerExperimentConfig(seed=4, blocks=20, snr_db=(8.0,), **kwargs)
+        assert harness._ber_chunk_entry((cfg, 0, 8.0, 2, 7)).shape == (5, 2)
+        assert calls == {"encrypt_block": 1, "decrypt_block": 1}
+
     def test_cp_shorter_than_channel_warns(self):
         cfg = BerExperimentConfig(seed=15, n=16, n_cp=8, snr_db=(10.0,),
                                   blocks=1)
@@ -332,6 +346,8 @@ class TestBerExperiment:
         for n_cp in (-1, 17):
             with pytest.raises(ShapeError):
                 BerExperimentConfig(seed=0, n=16, n_cp=n_cp)
+        with pytest.raises(ShapeError, match="channel order 11"):
+            BerExperimentConfig(seed=0, n=8, n_cp=8)
         with pytest.raises(ShapeError):
             BerExperimentConfig(seed=0, min_errors=-1)
         with pytest.raises(ShapeError):
@@ -343,6 +359,7 @@ class TestBerExperiment:
                 BerExperimentConfig(seed=0, max_bits=max_bits)
         BerExperimentConfig(seed=2 ** 64 - 1, n=16, n_cp=0, min_errors=0, min_blocks=0)
         BerExperimentConfig(seed=0, n=16, n_cp=16)
+        BerExperimentConfig(seed=0, n=8, n_cp=8, channel="awgn")
 
     def test_symbols_per_block(self):
         assert BerExperimentConfig(seed=0, n=64).symbols_per_block == 64
@@ -496,6 +513,9 @@ class TestSnrAnalysis:
         for m in (3, 8):
             with pytest.raises(ShapeError, match="M must be"):
                 SnrAnalysisConfig(seed=0, m=m)
+        for n in (0, 11):
+            with pytest.raises(ShapeError, match="channel order 11"):
+                SnrAnalysisConfig(seed=0, n=n)
 
 
 class TestIciMeasurement:

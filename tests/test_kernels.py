@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from permofdm import _kernels
+from permofdm import attack, modem, permcipher
 
 
 def _pairs():
@@ -39,7 +39,7 @@ class TestDemodPoints:
             s = _scale(L)
             pts = _points(L, bpa, s)
             y = rng.normal(size=5000) + 1j * rng.normal(size=5000)
-            got = _kernels.demod_points(y.real.copy(), y.imag.copy(), L, bpa, s)
+            got = modem.demod_points(y.real.copy(), y.imag.copy(), L, bpa, s)
             want = np.argmin(np.abs(y[:, None] - pts[None, :]), axis=1)
             assert np.array_equal(got, want)
 
@@ -52,7 +52,7 @@ class TestDemodPoints:
             lv = (L - 1 - 2 * np.arange(L)) * s
             grid = np.concatenate([lv, (lv[:-1] + lv[1:]) / 2.0])
             y = (grid[:, None] + 1j * grid[None, :]).ravel()
-            got = _kernels.demod_points(y.real.copy(), y.imag.copy(), L, bpa, s)
+            got = modem.demod_points(y.real.copy(), y.imag.copy(), L, bpa, s)
             want = np.argmin(np.abs(y[:, None] - pts[None, :]), axis=1)
             assert np.array_equal(got, want)
 
@@ -72,7 +72,7 @@ class TestDemodPoints:
                           st.floats(-1.5 * L * scale, 1.5 * L * scale))
         re = np.array(data.draw(st.lists(coord, min_size=1, max_size=40)))
         im = np.array(data.draw(st.lists(coord, min_size=len(re), max_size=len(re))))
-        got = _kernels.demod_points(re, im, L, bpa, scale)
+        got = modem.demod_points(re, im, L, bpa, scale)
         assert got.dtype == np.int64
         assert np.array_equal(got, _demod_points_reference(re, im, L, bpa, scale))
         assert np.array_equal(got, _exact_argmin(re, im, _points(L, bpa, scale)))
@@ -138,7 +138,7 @@ def _need(size):
 
 
 def _assert_matches_reference(stream, size):
-    perm, used, ok = _kernels.fisher_yates(stream, size)
+    perm, used, ok = permcipher.fisher_yates(stream, size)
     ref_perm, ref_used, ref_ok = _fisher_yates_reference(stream, size)
     assert (used, ok) == (ref_used, ref_ok)
     assert perm.dtype == np.int64
@@ -150,7 +150,7 @@ class TestFisherYates:
         # size 4: i=3 reads 0x00 -> j=0 swap; i=2 reads 0x01 -> j=1 swap;
         # i=1 reads 0x02 & 1 -> j=0 swap
         stream = np.array([0x00, 0x01, 0x02], dtype=np.uint8)
-        perm, used, ok = _kernels.fisher_yates(stream, 4)
+        perm, used, ok = permcipher.fisher_yates(stream, 4)
         assert ok and used == 3
         assert perm.tolist() == [2, 3, 1, 0]
 
@@ -158,20 +158,20 @@ class TestFisherYates:
         # size 3: i=2 has 2 bits; 0xff & 3 = 3 > 2 is rejected, next byte
         # 0x02 accepted (j=2, no-op); i=1 reads 0x00 -> swap 0,1
         stream = np.array([0xFF, 0x02, 0x00], dtype=np.uint8)
-        perm, used, ok = _kernels.fisher_yates(stream, 3)
+        perm, used, ok = permcipher.fisher_yates(stream, 3)
         assert ok and used == 3
         assert perm.tolist() == [1, 0, 2]
 
     def test_exhaustion_reports_failure(self):
         stream = np.array([0xFF, 0xFF], dtype=np.uint8)
-        _, _, ok = _kernels.fisher_yates(stream, 8)
+        _, _, ok = permcipher.fisher_yates(stream, 8)
         assert not ok
 
     def test_always_bijective(self):
         rng = np.random.default_rng(0)
         for size in (1, 2, 3, 17, 128):
             stream = rng.integers(0, 256, size=max(4 * size, 64), dtype=np.uint8)
-            perm, _, ok = _kernels.fisher_yates(stream, size)
+            perm, _, ok = permcipher.fisher_yates(stream, size)
             assert ok
             assert np.array_equal(np.sort(perm), np.arange(size))
 
@@ -196,11 +196,11 @@ class TestFisherYates:
 
 
 def _assert_lockstep_matches_scalar(streams, size):
-    perms, ok = _kernels.fisher_yates_lockstep(streams, size)
+    perms, ok = permcipher.fisher_yates_lockstep(streams, size)
     assert perms.shape == (streams.shape[0], size) and perms.dtype == np.int64
     assert ok.shape == (streams.shape[0],)
     for stream, perm, row_ok in zip(streams, perms, ok):
-        want, _, want_ok = _kernels.fisher_yates(stream, size)
+        want, _, want_ok = permcipher.fisher_yates(stream, size)
         assert row_ok == want_ok
         assert np.array_equal(perm, want)
     return ok
@@ -224,7 +224,7 @@ class TestFisherYatesLockstep:
         # first word (i=2 -> j=0 swap; i=1 reads 0x01 & 1 -> j=1 no-op), so
         # the rows step out of phase and row 1 leaves its last byte unread
         streams = np.array([[0xFF, 0x02, 0x00], [0x00, 0x01, 0x00]], dtype=np.uint8)
-        perms, ok = _kernels.fisher_yates_lockstep(streams, 3)
+        perms, ok = permcipher.fisher_yates_lockstep(streams, 3)
         assert ok.tolist() == [True, True]
         assert perms.tolist() == [[1, 0, 2], [2, 1, 0]]
 
@@ -278,14 +278,14 @@ class TestGreedyAssign:
         true = rng.permutation(40)
         y = x[true]
         dist = np.abs(y[:, None] - x[None, :])
-        perm, amb = _kernels.greedy_assign(dist, 1e-9)
+        perm, amb = attack.greedy_assign(dist, 1e-9)
         assert np.array_equal(perm, true)
         assert amb == 0
 
     def test_flags_ambiguity_on_duplicates(self):
         x = np.array([1.0, 1.0, 2.0], dtype=complex)
         dist = np.abs(x[:, None] - x[None, :])
-        perm, amb = _kernels.greedy_assign(dist, 1e-9)
+        perm, amb = attack.greedy_assign(dist, 1e-9)
         assert amb > 0
         assert np.array_equal(np.sort(perm), np.arange(3))
 
@@ -301,7 +301,7 @@ class TestBruteForceScan:
         cands = self._cands(5)
         true = cands[77]
         y = x[true]
-        idx, resid = _kernels.brute_force_scan(cands, x, y)
+        idx, resid = attack.brute_force_scan(cands, x, y)
         assert idx == 77
         assert resid < 1e-20
 
@@ -310,7 +310,7 @@ class TestBruteForceScan:
         x = np.array([1.0 + 0j, 1.0 + 0j, 2.0 + 0j])
         y = x.copy()
         cands = self._cands(3)
-        idx, resid = _kernels.brute_force_scan(cands, x, y)
+        idx, resid = attack.brute_force_scan(cands, x, y)
         assert resid == 0.0
         assert np.array_equal(cands[idx], np.array([0, 1, 2]))
 

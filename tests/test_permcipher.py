@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from permofdm import permcipher
@@ -124,7 +125,7 @@ class TestBatchedDerivation:
             assert np.array_equal(got, np.stack(wants)), (size, ells)
 
     def test_exhausted_row_is_derived_again(self, monkeypatch):
-        real = permcipher._kernels.fisher_yates_lockstep
+        real = permcipher.fisher_yates_lockstep
 
         def second_row_runs_out(streams, size):
             perms, ok = real(streams, size)
@@ -132,7 +133,7 @@ class TestBatchedDerivation:
             ok[1] = False
             return perms, ok
 
-        monkeypatch.setattr(permcipher._kernels, "fisher_yates_lockstep",
+        monkeypatch.setattr(permcipher, "fisher_yates_lockstep",
                             second_row_runs_out)
         want = np.stack([derive_permutation(KEY, ell, 64).map for ell in (3, 4, 5)])
         assert np.array_equal(derive_permutations(KEY, [3, 4, 5], 64), want)
@@ -195,8 +196,68 @@ class TestApplication:
             encrypt_block(np.zeros(9, dtype=complex), p)
 
     def test_not_a_permutation_rejected(self):
-        with pytest.raises(ShapeError):
-            Permutation(map=np.array([0, 0, 2]))
+        # a stack is checked row by row
+        for m in ([0, 0, 2], [[0, 1, 2], [0, 0, 2]], np.zeros((2, 2, 2), dtype=np.int64)):
+            with pytest.raises(ShapeError):
+                Permutation(map=np.array(m))
+
+    def test_non_integer_map_rejected(self):
+        for m in (np.array([0.7, 1.2, 2.9]), np.array([0.0, 1.0]), np.array([True, False])):
+            with pytest.raises(ShapeError, match="integers"):
+                Permutation(map=m)
+
+    def test_callers_array_stays_writable(self):
+        a = np.array([2, 0, 1], dtype=np.int64)
+        p = Permutation(map=a)
+        a[0] = 3
+        assert p.map.tolist() == [2, 0, 1]
+        assert not p.map.flags.writeable
+
+
+def _blocks(data, size, count):
+    """A (count, size) complex stack of distinct samples."""
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(count, size)) + 1j * rng.normal(size=(count, size))
+
+
+class TestBatchApplication:
+    @settings(max_examples=60, deadline=None)
+    @given(size=st.integers(1, 40), count=st.integers(1, 6), data=st.data())
+    def test_shared_map_equals_per_block_calls(self, size, count, data):
+        x = _blocks(data, size, count)
+        p = Permutation(map=np.random.default_rng(size).permutation(size))
+        want = np.stack([encrypt_block(row, p) for row in x])
+        y = encrypt_block(x, p)
+        assert np.array_equal(y, want)
+        assert np.array_equal(decrypt_block(y, p), x)
+
+    @settings(max_examples=60, deadline=None)
+    @given(size=st.integers(1, 40), count=st.integers(1, 6), data=st.data())
+    def test_stack_gives_block_r_row_r(self, size, count, data):
+        x = _blocks(data, size, count)
+        ells = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=count, max_size=count))
+        rows = [derive_permutation(KEY, ell, size) for ell in ells]
+        p = Permutation(map=np.stack([r.map for r in rows]))
+        y = encrypt_block(x, p)
+        assert np.array_equal(y, np.stack([encrypt_block(b, r) for b, r in zip(x, rows)]))
+        assert np.array_equal(decrypt_block(y, p), x)
+        assert np.array_equal(decrypt_block(x, p),
+                              np.stack([decrypt_block(b, r) for b, r in zip(x, rows)]))
+        inv = p.inverse()
+        assert inv.map.shape == (count, size)
+        assert np.array_equal(inv.map, np.stack([r.inverse().map for r in rows]))
+        assert np.array_equal(encrypt_block(y, inv), x)
+
+    def test_block_count_checks(self):
+        stack = Permutation(map=np.stack([np.arange(4), np.arange(4)[::-1]]))
+        for x in (np.zeros(4), np.zeros((3, 4)), np.zeros(10)):
+            for fn in (encrypt_block, decrypt_block):
+                with pytest.raises(ShapeError):
+                    fn(x, stack)
+        for fn in (encrypt_block, decrypt_block):
+            with pytest.raises(ShapeError):
+                fn(np.zeros(10), Permutation.identity(4))
 
 
 class TestTransposeInterleaver:
