@@ -248,7 +248,7 @@ def _cmd_measure_ici(args, parser):
     if o.perm == "identity":
         perm = Permutation.identity(o.n)
     elif o.perm == "reversal":
-        perm = Permutation(map=np.arange(o.n, dtype=np.int64)[::-1].copy())
+        perm = Permutation(map=np.arange(o.n, dtype=np.int64)[::-1])
     elif o.perm == "random":
         perm = Permutation(map=np.random.default_rng((o.seed, 0xFACE)).permutation(o.n))
     elif o.perm == "transpose":

@@ -254,7 +254,7 @@ def _chunk_permutation(cfg: BerExperimentConfig, point_index: int, b0: int, b1: 
     key, base = cfg.resolve_key(), point_index * cfg.blocks
     size = cfg.symbols_per_block * cfg.n
     maps = [derive_permutation(key, base + b, size).map for b in range(b0, b1)]
-    return Permutation(map=np.stack(maps), block_index=base + b0)
+    return Permutation(map=maps, block_index=base + b0)
 
 
 def _ber_chunk_entry(task):

@@ -84,8 +84,9 @@ class Permutation:
         if m.dtype.kind not in "iu":
             raise ShapeError(f"map must hold integers, got dtype {m.dtype}")
         m = m.astype(np.int64, copy=False)
-        if m.ndim not in (1, 2) or not (np.sort(m, axis=-1) == np.arange(m.shape[-1])).all():
-            raise ShapeError("map is not a permutation of 0..size-1")
+        if m.ndim not in (1, 2) or m.shape[-1] == 0 or not (
+                np.sort(m, axis=-1) == np.arange(m.shape[-1])).all():
+            raise ShapeError("map is not a permutation of 0..size-1 with size >= 1")
         m.setflags(write=False)
         object.__setattr__(self, "map", m)
 
@@ -329,7 +330,7 @@ def transpose_interleaver(n: int) -> Permutation:
 
 def _positions(p: Permutation, x: np.ndarray) -> np.ndarray:
     """(B, size) flat positions of x's B blocks that p's maps gather from."""
-    if p.size == 0 or x.size % p.size:
+    if x.size % p.size:
         raise ShapeError(f"sample count {x.size} is not a whole number of blocks of {p.size}")
     count = x.size // p.size
     if p.map.ndim == 2 and len(p.map) != count:
