@@ -197,7 +197,8 @@ class TestApplication:
 
     def test_not_a_permutation_rejected(self):
         # a stack is checked row by row
-        for m in ([0, 0, 2], [[0, 1, 2], [0, 0, 2]], np.zeros((2, 2, 2), dtype=np.int64)):
+        for m in ([0, 0, 2], [[0, 1, 2], [0, 0, 2]], np.zeros((2, 2, 2), dtype=np.int64),
+                  np.zeros(0, dtype=np.int64)):
             with pytest.raises(ShapeError):
                 Permutation(map=np.array(m))
 
@@ -230,6 +231,7 @@ class TestBatchApplication:
         want = np.stack([encrypt_block(row, p) for row in x])
         y = encrypt_block(x, p)
         assert np.array_equal(y, want)
+        assert np.array_equal(y, x[:, p.map])
         assert np.array_equal(decrypt_block(y, p), x)
 
     @settings(max_examples=60, deadline=None)
@@ -241,6 +243,7 @@ class TestBatchApplication:
         p = Permutation(map=np.stack([r.map for r in rows]))
         y = encrypt_block(x, p)
         assert np.array_equal(y, np.stack([encrypt_block(b, r) for b, r in zip(x, rows)]))
+        assert np.array_equal(y, np.stack([b[r.map] for b, r in zip(x, rows)]))
         assert np.array_equal(decrypt_block(y, p), x)
         assert np.array_equal(decrypt_block(x, p),
                               np.stack([decrypt_block(b, r) for b, r in zip(x, rows)]))
