@@ -66,7 +66,6 @@ from .harness import (
 from .modem import (
     QamConstellation,
     add_cp,
-    binary_to_gray,
     fft_demodulate,
     gray_to_binary,
     ifft_modulate,
@@ -100,8 +99,8 @@ __all__ = [
     "QamConstellation", "SecretKey", "SerAttackConfig", "ShapeError",
     "SingularChannelError", "SnrAnalysisConfig", "TrialReport",
     "add_awgn", "add_cp", "analyze_snr", "apply_channel_stream",
-    "averaging_attack", "ber_awgn_qam", "binary_to_gray",
-    "brute_force_attack", "conditional_snr_zf", "decrypt_block",
+    "averaging_attack", "ber_awgn_qam", "brute_force_attack",
+    "conditional_snr_zf", "decrypt_block",
     "derive_permutation", "derive_permutations", "draw_rayleigh_channel",
     "encrypt_block",
     "equalize", "equalizer_weights", "fft_demodulate", "freq_response",

@@ -28,12 +28,12 @@ class EqualizerKind:
     def __post_init__(self):
         if self.variant not in ("zf", "mmse"):
             raise ShapeError(f"unknown equalizer variant {self.variant!r}")
-        if self.zf_floor <= 0:
-            raise ShapeError("zf_floor must be positive")
-        if self.discard_below is not None and self.discard_below <= 0:
-            raise ShapeError("discard_below must be positive when set")
-        if self.fade_bias is not None and self.fade_bias <= 0:
-            raise ShapeError("fade_bias must be positive when set")
+        if not 0 < self.zf_floor < math.inf:
+            raise ShapeError("zf_floor must be positive and finite")
+        for name in ("discard_below", "fade_bias"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise ShapeError(f"{name} must be positive and finite when set")
 
 
 def _floor_response(h: np.ndarray, eps: float) -> np.ndarray:

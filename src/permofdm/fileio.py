@@ -1,7 +1,10 @@
 """File formats: binary IQ streams, key files, and key=value configs.
 
 IQ files are headerless little-endian float32, interleaved I,Q per
-complex sample.  Key files hold either hex text (default) or raw bytes.
+complex sample, which is one little-endian complex64 per sample.  read_iq
+returns those samples as they are stored and write_iq casts once to that
+type, so a complex64 array passes through both bit for bit, NaN payloads
+included.  Key files hold either hex text (default) or raw bytes.
 Config files are `key = value` lines with `#` comments; values stay
 strings until the CLI parses them by the type of the config field they set.
 """
@@ -15,11 +18,7 @@ from .permcipher import SecretKey
 
 
 def write_iq(path, samples: np.ndarray) -> None:
-    samples = np.asarray(samples, dtype=np.complex128).reshape(-1)
-    out = np.empty(2 * samples.size, dtype="<f4")
-    out[0::2] = samples.real.astype(np.float32)
-    out[1::2] = samples.imag.astype(np.float32)
-    Path(path).write_bytes(out.tobytes())
+    np.asarray(samples, dtype="<c8").tofile(path)
 
 
 def read_iq(path) -> np.ndarray:
@@ -28,9 +27,9 @@ def read_iq(path) -> np.ndarray:
         raise IqFormatError(
             f"{path}: {len(raw)} bytes is not a whole number of float32 I,Q pairs"
         )
-    # Each I,Q pair is one little-endian complex64, so I and Q stay
-    # independent: a NaN or an infinity in one leaves the other intact.
-    return np.frombuffer(raw, dtype="<c8").astype(np.complex128)
+    # A writable copy in native byte order; I and Q stay independent, so a
+    # NaN or an infinity in one leaves the other intact.
+    return np.frombuffer(raw, dtype="<c8").astype(np.complex64)
 
 
 def write_key_file(path, key: SecretKey, hex_text: bool = True) -> None:

@@ -124,8 +124,15 @@ def wald_halfwidth(errors: int, n: int) -> float:
 def _check_snr_db(values) -> None:
     if not values:
         raise ShapeError("snr_db needs at least one value")
-    if not all(math.isfinite(v) for v in values):
-        raise ShapeError(f"snr_db must be finite, got {values}")
+    for v in values:
+        # Past about +-3082 dB the noise power or the SNR leaves the float
+        # range: 10.0 ** 400 raises, 10.0 ** -400 is 0.
+        try:
+            sigma_z2 = NoiseSpec.from_snr_db(v).sigma_z2
+        except OverflowError:
+            sigma_z2 = math.inf
+        if not (0 < sigma_z2 < math.inf and 1 / sigma_z2 < math.inf):
+            raise ShapeError(f"snr_db must be finite, within about +-3082 dB, got {values}")
 
 
 def _check_seed(seed: int) -> int:
@@ -254,7 +261,7 @@ def _chunk_permutation(cfg: BerExperimentConfig, point_index: int, b0: int, b1: 
     key, base = cfg.resolve_key(), point_index * cfg.blocks
     size = cfg.symbols_per_block * cfg.n
     maps = [derive_permutation(key, base + b, size).map for b in range(b0, b1)]
-    return Permutation(map=maps, block_index=base + b0)
+    return Permutation(map=maps)
 
 
 def _ber_chunk_entry(task):
@@ -480,9 +487,8 @@ def _recovery_trial_entry(task):
 
     base = trial_index * cfg.repeats
     if cfg.fresh_perm_per_block:
-        perm = Permutation(map=derive_permutations(key, range(base, base + cfg.repeats), size),
-                           block_index=base)
-        truth = Permutation(map=perm.map[0], block_index=base)
+        perm = Permutation(map=derive_permutations(key, range(base, base + cfg.repeats), size))
+        truth = Permutation(map=perm.map[0])
         obs = encrypt_block(np.broadcast_to(x, perm.map.shape), perm)
     else:
         truth = derive_permutation(key, base, size)
@@ -532,8 +538,8 @@ class SnrAnalysisConfig:
         QamConstellation.square(self.m)
         if self.blocks < 1:
             raise ShapeError("blocks must be >= 1")
-        if self.zf_floor <= 0:
-            raise ShapeError("zf_floor must be positive")
+        if not 0 < self.zf_floor < math.inf:
+            raise ShapeError("zf_floor must be positive and finite")
         _check_snr_db(self.snr_db)
 
 

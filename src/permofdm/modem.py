@@ -17,10 +17,6 @@ import numpy as np
 from .errors import FramingError, ShapeError
 
 
-def binary_to_gray(b: int) -> int:
-    return b ^ (b >> 1)
-
-
 def gray_to_binary(g: int) -> int:
     b = 0
     while g:

@@ -72,12 +72,10 @@ class Permutation:
     """One map of length size, or a (B, size) stack of B maps.
 
     The map is copied and frozen, so the caller's array stays writable and
-    later writes to it do not reach the Permutation.  block_index is the
-    block of the map, or of a stack's first row.
+    later writes to it do not reach the Permutation.
     """
 
     map: np.ndarray = field(repr=False)
-    block_index: int = 0
 
     def __post_init__(self):
         m = np.array(self.map)
@@ -96,7 +94,7 @@ class Permutation:
 
     def inverse(self) -> "Permutation":
         ramp = np.broadcast_to(np.arange(self.size), self.map.shape)
-        return Permutation(map=decrypt_block(ramp, self), block_index=self.block_index)
+        return Permutation(map=decrypt_block(ramp, self))
 
     @classmethod
     def identity(cls, size: int) -> "Permutation":
@@ -285,9 +283,8 @@ def derive_permutation(key: SecretKey, block_index: int, size: int) -> Permutati
         raise ShapeError(f"size must be >= 1, got {size}")
     block_index = _check_block_index(block_index)
     if size == 1:
-        return Permutation(map=np.zeros(1, dtype=np.int64), block_index=block_index)
-    perm = _shuffle(key, block_index, size, 4 * _stream_bytes(size) + 64)
-    return Permutation(map=perm, block_index=block_index)
+        return Permutation(map=np.zeros(1, dtype=np.int64))
+    return Permutation(map=_shuffle(key, block_index, size, 4 * _stream_bytes(size) + 64))
 
 
 def derive_permutations(key: SecretKey, ells, size: int) -> np.ndarray:

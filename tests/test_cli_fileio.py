@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from permofdm import (
     AttackRecoveryConfig,
@@ -78,7 +78,7 @@ class TestIqFiles:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             y = read_iq(p)
-        assert y.dtype == np.complex128
+        assert y.dtype == np.complex64
         assert y.real.tolist() == [1.0, 3.0]
         assert y.imag[0] == np.inf and np.isnan(y.imag[1])
 
@@ -87,6 +87,34 @@ class TestIqFiles:
         p.write_bytes(np.array([1.0, np.inf], dtype="<f4").tobytes())
         write_iq(q, read_iq(p))
         assert q.read_bytes() == p.read_bytes()
+
+    def test_read_iq_is_a_writable_copy_of_the_stored_samples(self, tmp_path):
+        p = tmp_path / "h.iq"
+        words = np.array([0x7F800001, 0xFFC12345, 0x80000000, 0x00000001], dtype="<u4")
+        p.write_bytes(words.tobytes())
+        y = read_iq(p)
+        assert y.dtype == np.complex64 and y.flags.writeable
+        assert y.tobytes() == p.read_bytes()
+
+    def test_complex128_input_matches_a_split_float32_cast(self, tmp_path):
+        rng = np.random.default_rng(5)
+        parts = rng.standard_normal(4000) * 10.0 ** rng.uniform(-50, 50, 4000)
+        edges = [0.0, -0.0, np.inf, -np.inf, np.nan, 3.4e38, 3.5e38, -1e39, 1e-40, -1e-46,
+                 np.finfo(np.float32).max, np.finfo(np.float32).tiny / 3]
+        nans = [0x7FF0000000000001, 0x7FF4000020000000, 0xFFF8000000000123, 0xFFFFFFFFFFFFFFFF]
+        bits = np.concatenate([rng.integers(0, 2 ** 64, 1000, dtype=np.uint64),
+                               np.array(nans, dtype=np.uint64)])
+        parts = np.concatenate([parts, edges, bits.view(np.float64)])
+        x = parts.view(np.complex128)  # real, imaginary pairs, no arithmetic
+        # The writer before complex64 was kept end to end: real and
+        # imaginary parts cast to float32 on their own and interleaved.
+        split = np.empty(2 * x.size, dtype="<f4")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # overflow, NaN casts
+            split[0::2] = x.real.astype(np.float32)
+            split[1::2] = x.imag.astype(np.float32)
+            write_iq(tmp_path / "x.iq", x)
+        assert (tmp_path / "x.iq").read_bytes() == split.tobytes()
 
 
 class TestKeyFiles:
@@ -246,6 +274,45 @@ class TestCipherCommands:
         assert rc == 2
 
 
+# float32 words: signalling NaN, negative quiet NaN with a payload, -0.0,
+# +inf, -inf and 1.0, so each sample pairs two of them.
+SPECIAL_WORDS = np.array([0x7F800001, 0xFFC12345, 0x80000000, 0x7F800000, 0xFF800000,
+                          0x3F800000], dtype="<u4")
+
+
+@st.composite
+def _iq_files(draw):
+    """(n, l, ell, payload): any bytes that make whole blocks of n*l samples."""
+    n, l_depth, blocks = draw(st.integers(1, 8)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    nbytes = 8 * n * l_depth * blocks
+    return (n, l_depth, draw(st.integers(0, 2 ** 64 - blocks)),
+            draw(st.binary(min_size=nbytes, max_size=nbytes)))
+
+
+def _samples(raw):
+    return sorted(raw[i:i + 8] for i in range(0, len(raw), 8))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_iq_files())
+@example(case=(3, 1, 0, SPECIAL_WORDS.tobytes()))
+@example(case=(1, 3, 2 ** 64 - 2, np.tile(SPECIAL_WORDS[::-1], 2).tobytes()))
+def test_cipher_round_trip_is_the_byte_identity(case):
+    n, l_depth, ell, payload = case
+    with tempfile.TemporaryDirectory() as d, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = Path(d)
+        write_key_file(d / "k.key", SecretKey(bytes(range(32))))
+        (d / "p.iq").write_bytes(payload)
+        flags = ["--key", str(d / "k.key"), "--n", str(n), "--l", str(l_depth),
+                 "--ell", str(ell)]
+        assert main(["encrypt", str(d / "p.iq"), "--out", str(d / "e.iq"), *flags]) == 0
+        assert main(["decrypt", str(d / "e.iq"), "--out", str(d / "d.iq"), *flags]) == 0
+        # The ciphertext holds the same 8-byte samples, only moved.
+        assert _samples((d / "e.iq").read_bytes()) == _samples(payload)
+        assert (d / "d.iq").read_bytes() == payload
+
+
 class TestSimulationCommands:
     def test_seed_is_mandatory(self, tmp_path):
         for cmd in ("simulate-ber", "simulate-attack-ser",
@@ -336,7 +403,8 @@ class TestSimulationCommands:
         with pytest.raises(SystemExit):
             main(["simulate-ber", "--seed", "-3", "--n", "16", "--blocks", "1"])
 
-    @pytest.mark.parametrize("snr", ["inf", "nan"])
+    # At +-4000 dB the noise power 10**(-snr_db/10) is 0 or overflows.
+    @pytest.mark.parametrize("snr", ["inf", "nan", "4000", "-4000"])
     @pytest.mark.parametrize("cmd", ["simulate-ber", "simulate-attack-ser",
                                      "simulate-attack-recovery", "analyze-snr"])
     def test_non_finite_snr_fails_cleanly(self, tmp_path, capsys, cmd, snr):
@@ -345,6 +413,19 @@ class TestSimulationCommands:
         assert rc == 2
         err = capsys.readouterr().err.strip().split("\n")
         assert len(err) == 1 and err[0].startswith("error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate-ber", "--zf-floor", "inf"],
+        ["simulate-ber", "--discard-below", "nan"],
+        ["simulate-ber", "--fade-bias", "nan"],
+        ["analyze-snr", "--zf-floor", "nan"],
+    ])
+    def test_non_finite_equalizer_setting_fails_cleanly(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.csv"
+        assert main([*argv, "--seed", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and err[0].startswith("error:") and "finite" in err[0]
         assert not out.exists()
 
     def test_bad_n_cp_fails_before_any_warning(self, tmp_path, capsys):

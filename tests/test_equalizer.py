@@ -90,8 +90,10 @@ class TestWeights:
     def test_kind_validation(self):
         with pytest.raises(ShapeError):
             EqualizerKind(variant="dfe")
-        with pytest.raises(ShapeError):
-            EqualizerKind(zf_floor=0.0)
+        for bad in (0.0, -1.0, float("nan"), float("inf")):
+            for name in ("zf_floor", "discard_below", "fade_bias"):
+                with pytest.raises(ShapeError, match=name):
+                    EqualizerKind(**{name: bad})
 
 
 class TestEqualize:

@@ -381,10 +381,14 @@ class TestBerExperiment:
     lambda snr: AttackRecoveryConfig(seed=0, snr_db=snr),
     lambda snr: SnrAnalysisConfig(seed=0, snr_db=(snr,)),
 ], ids=["ber", "attack-ser", "attack-recovery", "snr-analysis"])
-@pytest.mark.parametrize("snr", [float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize("snr", [float("inf"), float("-inf"), float("nan"),
+                                 4000.0, -4000.0, 3083.0, -3083.0])
 def test_non_finite_snr_rejected(build, snr):
+    # Beyond about +-3082 dB the noise power or the SNR is 0 or overflows.
     with pytest.raises(ShapeError, match="finite"):
         build(snr)
+    build(3000.0)
+    build(-3000.0)
 
 
 class TestSerAttackExperiment:
@@ -503,7 +507,7 @@ class TestSnrAnalysis:
         assert bers[0] > bers[1] > bers[2] > 0
 
     def test_validation(self):
-        for zf_floor in (0.0, -1e-12):
+        for zf_floor in (0.0, -1e-12, float("nan"), float("inf")):
             with pytest.raises(ShapeError, match="zf_floor"):
                 SnrAnalysisConfig(seed=0, zf_floor=zf_floor)
         with pytest.raises(ShapeError, match="snr_db"):

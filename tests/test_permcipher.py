@@ -62,7 +62,6 @@ class TestDerivation:
         c = derive_permutation(KEY, 4, 64)
         assert np.array_equal(a.map, b.map)
         assert not np.array_equal(a.map, c.map)
-        assert a.block_index == 3
 
     def test_single_bit_key_flips_change_permutation(self):
         rng = np.random.default_rng(13)
