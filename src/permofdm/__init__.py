@@ -8,6 +8,8 @@ analysis, chosen-plaintext attack estimators, and a reproducible
 Monte-Carlo harness with a CSV-reporting CLI.
 """
 
+import types
+
 from .channel import (
     ChannelProfile,
     ChannelRealization,
@@ -90,25 +92,8 @@ __version__ = "0.1.0"
 # Run records report it; the package compiles nothing.
 JIT_ENABLED = False
 
-__all__ = [
-    "AmbiguousMatchWarning", "AttackRecoveryConfig",
-    "BerExperimentConfig", "BruteForceCostError", "CSV_HEADER", "ChannelProfile",
-    "ChannelRealization", "EqualizerKind", "FIVE_TAP_PROFILE", "FramingError",
-    "IciReport", "IqFormatError", "JIT_ENABLED", "KeyFormatError",
-    "NoiseMixing", "NoiseSpec", "Permutation", "PointResult",
-    "QamConstellation", "SecretKey", "SerAttackConfig", "ShapeError",
-    "SingularChannelError", "SnrAnalysisConfig", "TrialReport",
-    "add_awgn", "add_cp", "analyze_snr", "apply_channel_stream",
-    "averaging_attack", "ber_awgn_qam", "brute_force_attack",
-    "conditional_snr_zf", "decrypt_block",
-    "derive_permutation", "derive_permutations", "draw_rayleigh_channel",
-    "encrypt_block",
-    "equalize", "equalizer_weights", "fft_demodulate", "freq_response",
-    "gray_to_binary", "ici_alpha_exact", "ifft_modulate", "keyspace_bits",
-    "match_noiseless", "measure_ici", "mix_samples", "noise_mixing_row",
-    "qam_demodulate", "qam_modulate", "qam_point_indices", "qfunc",
-    "recovery_rate", "remove_cp", "rms_delay_spread",
-    "run_attack_recovery_experiment", "run_ber_experiment",
-    "run_ser_attack_experiment", "semi_analytic_ber", "transpose_interleaver",
-    "wald_halfwidth",
-]
+# Every public name bound above; the submodules are not exported.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

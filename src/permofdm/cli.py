@@ -97,13 +97,13 @@ def _run_cipher(args, parser, direction):
             f"{args.input}: {samples.size} samples is not a whole number of "
             f"blocks of L*N = {size}"
         )
-    # One map per block from counter --ell on, applied in one call; the
+    # Block b is permuted in place by its own map, counter --ell + b; the
     # gather or scatter moves whole 8-byte samples, so no bit of a sample
     # changes.
-    perm = Permutation(map=[derive_permutation(key, args.ell + b, size).map
-                            for b in range(samples.size // size)])
     permute = encrypt_block if direction == "enc" else decrypt_block
-    write_iq(args.out, permute(samples, perm))
+    for b, block in enumerate(samples.reshape(-1, size)):
+        block[:] = permute(block, derive_permutation(key, args.ell + b, size))
+    write_iq(args.out, samples)
     return 0
 
 

@@ -4,11 +4,13 @@ IQ files are headerless little-endian float32, interleaved I,Q per
 complex sample, which is one little-endian complex64 per sample.  read_iq
 returns those samples as they are stored and write_iq casts once to that
 type, so a complex64 array passes through both bit for bit, NaN payloads
-included.  Key files hold either hex text (default) or raw bytes.
-Config files are `key = value` lines with `#` comments; values stay
-strings until the CLI parses them by the type of the config field they set.
+included.  Key files hold hex text (default) or raw bytes; raw bytes that
+would read as hex are refused at write time.  Config files are `key =
+value` lines with `#` comments; values stay strings until the CLI parses
+them by the type of the config field they set.
 """
 
+import string
 from pathlib import Path
 
 import numpy as np
@@ -32,9 +34,20 @@ def read_iq(path) -> np.ndarray:
     return np.frombuffer(raw, dtype="<c8").astype(np.complex64)
 
 
+def _hex_text(raw: bytes):
+    """The key file's text when it reads as hex (whitespace around it allowed), else None."""
+    try:
+        text = raw.decode("ascii").strip()
+    except UnicodeDecodeError:
+        return None
+    return text if text and all(c in string.hexdigits for c in text) else None
+
+
 def write_key_file(path, key: SecretKey, hex_text: bool = True) -> None:
     if hex_text:
         Path(path).write_text(key.hex() + "\n")
+    elif _hex_text(key.key_bytes) is not None:
+        raise KeyFormatError(f"{path}: this raw key reads as hex text; write it as hex")
     else:
         Path(path).write_bytes(key.key_bytes)
 
@@ -43,13 +56,8 @@ def read_key_file(path) -> SecretKey:
     raw = Path(path).read_bytes()
     if not raw:
         raise KeyFormatError(f"{path}: empty key file")
-    try:
-        text = raw.decode("ascii").strip()
-        if text and all(c in "0123456789abcdefABCDEF" for c in text):
-            return SecretKey.from_hex(text)
-    except UnicodeDecodeError:
-        pass
-    return SecretKey(raw)
+    text = _hex_text(raw)
+    return SecretKey(raw) if text is None else SecretKey.from_hex(text)
 
 
 def read_config(path) -> dict:

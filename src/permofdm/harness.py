@@ -260,8 +260,7 @@ def _chunk_permutation(cfg: BerExperimentConfig, point_index: int, b0: int, b1: 
         return None
     key, base = cfg.resolve_key(), point_index * cfg.blocks
     size = cfg.symbols_per_block * cfg.n
-    maps = [derive_permutation(key, base + b, size).map for b in range(b0, b1)]
-    return Permutation(map=maps)
+    return derive_permutations(key, range(base + b0, base + b1), size)
 
 
 def _ber_chunk_entry(task):
@@ -487,8 +486,8 @@ def _recovery_trial_entry(task):
 
     base = trial_index * cfg.repeats
     if cfg.fresh_perm_per_block:
-        perm = Permutation(map=derive_permutations(key, range(base, base + cfg.repeats), size))
-        truth = Permutation(map=perm.map[0])
+        perm = derive_permutations(key, range(base, base + cfg.repeats), size)
+        truth = perm[0]
         obs = encrypt_block(np.broadcast_to(x, perm.map.shape), perm)
     else:
         truth = derive_permutation(key, base, size)

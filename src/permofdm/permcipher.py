@@ -16,10 +16,12 @@ Key schedule (pinned so independent implementations interoperate):
 The keystream is prefix-stable, so running out of bytes and retrying with
 a longer stream replays the same shuffle.
 
-``derive_permutation`` shuffles one block; ``derive_permutations`` shuffles
-many blocks in one lockstep pass and gives the same maps.  The batched call
-is faster only for many small blocks, so callers that need one block at a
-time, or a few large ones, use ``derive_permutation``.
+``derive_permutations(key, ells, size)`` is the key schedule's one entry:
+it returns the maps of blocks ells as one checked (B, size) Permutation
+stack.  From LOCKSTEP_MIN_ROWS rows on it shuffles them in one
+fisher_yates_lockstep pass, and below that it runs fisher_yates once per
+row; both loops give the same maps.  ``derive_permutation`` is its
+one-block case.
 
 ``encrypt_block`` and ``decrypt_block`` are the only code that applies a
 map.  They take any number of whole blocks at once: a ``Permutation`` holds
@@ -30,6 +32,7 @@ block r.
 import functools
 import hashlib
 import math
+import operator
 import secrets
 from dataclasses import dataclass, field
 
@@ -87,6 +90,14 @@ class Permutation:
             raise ShapeError("map is not a permutation of 0..size-1 with size >= 1")
         m.setflags(write=False)
         object.__setattr__(self, "map", m)
+
+    def __getitem__(self, r) -> "Permutation":
+        """Map r of a stack, without checking it again."""
+        if self.map.ndim != 2:
+            raise ShapeError("a single map has no rows")
+        row = object.__new__(Permutation)
+        object.__setattr__(row, "map", self.map[operator.index(r)])
+        return row
 
     @property
     def size(self) -> int:
@@ -262,50 +273,44 @@ def _band_words(streams, pos, nbytes, k):
     return np.ascontiguousarray(words.T, dtype=words.dtype.newbyteorder("="))
 
 
-def _check_block_index(ell) -> int:
-    if not 0 <= ell < 1 << 64:
+# Row count from which one fisher_yates_lockstep pass beats a fisher_yates
+# call per row; the two meet at 64-128 rows for sizes 64, 256 and 4096.
+LOCKSTEP_MIN_ROWS = 96
+
+
+def _shuffle_rows(streams, size):
+    """(perms, ok) of the key schedule's shuffle on each row of streams."""
+    if len(streams) >= LOCKSTEP_MIN_ROWS:
+        return fisher_yates_lockstep(streams, size)
+    perms = np.empty((len(streams), size), dtype=np.int64)
+    ok = np.empty(len(streams), dtype=bool)
+    for r, stream in enumerate(streams):
+        perms[r], _, ok[r] = fisher_yates(stream, size)
+    return perms, ok
+
+
+def derive_permutations(key: SecretKey, ells, size: int) -> Permutation:
+    """(B, size) stack whose row r is the keyed map of block ells[r]."""
+    if size < 1:
+        raise ShapeError(f"size must be >= 1, got {size}")
+    ells = [int(ell) for ell in ells]
+    if not all(0 <= ell < 1 << 64 for ell in ells):
         raise ShapeError("block_index must fit in an unsigned 64-bit counter")
-    return int(ell)
-
-
-def _shuffle(key: SecretKey, ell: int, size: int, n: int) -> np.ndarray:
-    """One block's map from an n-byte keystream, doubling n until it suffices."""
-    while True:
-        perm, _, ok = fisher_yates(_keystreams(key, (ell,), n)[0], size)
-        if ok:
-            return perm
+    if size == 1 or not ells:
+        return Permutation(map=np.zeros((len(ells), size), dtype=np.int64))
+    n = 4 * _stream_bytes(size) + 64
+    maps, ok = _shuffle_rows(_keystreams(key, ells, n), size)
+    redo = np.flatnonzero(~ok)
+    while redo.size:
         n *= 2
+        maps[redo], ok = _shuffle_rows(_keystreams(key, [ells[r] for r in redo], n), size)
+        redo = redo[~ok]
+    return Permutation(map=maps)
 
 
 def derive_permutation(key: SecretKey, block_index: int, size: int) -> Permutation:
     """Deterministic keyed permutation for one interleaving block."""
-    if size < 1:
-        raise ShapeError(f"size must be >= 1, got {size}")
-    block_index = _check_block_index(block_index)
-    if size == 1:
-        return Permutation(map=np.zeros(1, dtype=np.int64))
-    return Permutation(map=_shuffle(key, block_index, size, 4 * _stream_bytes(size) + 64))
-
-
-def derive_permutations(key: SecretKey, ells, size: int) -> np.ndarray:
-    """Row r is derive_permutation(key, ells[r], size).map; shape (B, size).
-
-    All blocks are shuffled in one lockstep pass, which pays off for many
-    small blocks; for one block, or a few large ones, derive_permutation
-    is faster.
-    """
-    if size < 1:
-        raise ShapeError(f"size must be >= 1, got {size}")
-    ells = [_check_block_index(ell) for ell in ells]
-    if size == 1 or not ells:
-        return np.zeros((len(ells), size), dtype=np.int64)
-    n = 4 * _stream_bytes(size) + 64
-    maps, ok = fisher_yates_lockstep(_keystreams(key, ells, n), size)
-    for r in np.flatnonzero(~ok):
-        maps[r] = _shuffle(key, ells[r], size, 2 * n)
-    if not (np.sort(maps, axis=1) == np.arange(size)).all():
-        raise ShapeError("a derived map is not a permutation of 0..size-1")
-    return maps
+    return derive_permutations(key, (block_index,), size)[0]
 
 
 @functools.lru_cache(maxsize=8)  # bounded: the map of n=4096 alone is 128 MiB

@@ -142,6 +142,32 @@ class TestKeyFiles:
         with pytest.raises(KeyFormatError):
             read_key_file(p)
 
+    @pytest.mark.parametrize("raw", [b"0123456789abcdef" * 2, b"a" * 17,
+                                     b"\t" + b"00ff" * 8 + b"\n"])
+    def test_raw_key_that_reads_as_hex_refused(self, tmp_path, raw):
+        p = tmp_path / "k.bin"
+        with pytest.raises(KeyFormatError, match="reads as hex"):
+            write_key_file(p, SecretKey(raw), hex_text=False)
+        assert not p.exists()
+        write_key_file(p, SecretKey(raw))
+        assert read_key_file(p).key_bytes == raw
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=st.one_of(st.binary(min_size=16, max_size=48),
+                     st.text("0123456789abcdefABCDEF \t\n", min_size=16, max_size=48)
+                     .map(str.encode)),
+       hex_text=st.booleans())
+def test_key_file_reads_back_or_is_refused_at_write(raw, hex_text):
+    with tempfile.TemporaryDirectory() as d:
+        p = Path(d) / "k"
+        try:
+            write_key_file(p, SecretKey(raw), hex_text=hex_text)
+        except KeyFormatError:
+            assert not hex_text and not p.exists()
+            return
+        assert read_key_file(p).key_bytes == raw
+
 
 class TestConfigFiles:
     def test_parse(self, tmp_path):
@@ -190,6 +216,15 @@ class TestKeygenCommand:
         p = tmp_path / "k.bin"
         main(["keygen", "--out", str(p), "--bytes", "48", "--raw", "--seed", "1"])
         assert p.stat().st_size == 48
+
+    def test_raw_key_that_reads_as_hex_fails_cleanly(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(SecretKey, "generate",
+                            classmethod(lambda cls, n: cls(b"0123456789abcdef" * 2)))
+        key = tmp_path / "k.bin"
+        assert main(["keygen", "--out", str(key), "--raw"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "reads as hex" in err[0]
+        assert not key.exists()
 
     def test_short_key_refused(self, tmp_path):
         with pytest.raises(SystemExit):

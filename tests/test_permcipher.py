@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from permofdm import permcipher
+from permofdm import harness, permcipher
 from permofdm import (
+    BerExperimentConfig,
     KeyFormatError,
     Permutation,
     QamConstellation,
@@ -27,6 +28,8 @@ from permofdm import (
     qam_point_indices,
     transpose_interleaver,
 )
+from permofdm.cli import main
+from permofdm.fileio import write_iq
 
 VECTORS = Path(__file__).resolve().parents[1] / "vectors" / "permutation_vectors.txt"
 KEY = SecretKey(bytes(range(32)))
@@ -105,14 +108,20 @@ class TestDerivation:
             SecretKey.from_hex("zz" * 16)
 
 
+LOCKSTEP = permcipher.LOCKSTEP_MIN_ROWS
+ELLS = [0, 1, 7, 2**32, 2**64 - 2, 2**64 - 1]
+
+
 class TestBatchedDerivation:
+    @pytest.mark.parametrize("rows", (len(ELLS), LOCKSTEP))  # per-row loop, lockstep
     @pytest.mark.parametrize("size", (1, 2, 64, 255, 256, 257, 4096))
-    def test_rows_match_single_derivations(self, size):
-        ells = [0, 1, 7, 2**32, 2**64 - 2, 2**64 - 1]
+    def test_rows_match_single_derivations(self, size, rows):
+        ells = (ELLS + list(range(100, 100 + rows)))[:rows]
         want = np.stack([derive_permutation(KEY, ell, size).map for ell in ells])
         got = derive_permutations(KEY, ells, size)
-        assert got.shape == (len(ells), size) and got.dtype == np.int64
-        assert np.array_equal(got, want)
+        assert isinstance(got, Permutation)
+        assert got.map.shape == (rows, size) and got.map.dtype == np.int64
+        assert np.array_equal(got.map, want)
 
     def test_frozen_vectors(self):
         groups = {}
@@ -121,28 +130,40 @@ class TestBatchedDerivation:
         for (size, keyhex), rows in groups.items():
             ells, wants = zip(*rows)
             got = derive_permutations(SecretKey.from_hex(keyhex), ells, size)
-            assert np.array_equal(got, np.stack(wants)), (size, ells)
+            assert np.array_equal(got.map, np.stack(wants)), (size, ells)
 
-    def test_exhausted_row_is_derived_again(self, monkeypatch):
-        real = permcipher.fisher_yates_lockstep
+    @pytest.mark.parametrize("rows", (3, LOCKSTEP))  # per-row loop, lockstep
+    def test_exhausted_row_is_derived_again(self, monkeypatch, rows):
+        ells = range(3, 3 + rows)
+        want = np.stack([derive_permutation(KEY, ell, 64).map for ell in ells])
+        first = 4 * permcipher._stream_bytes(64) + 64
+        lengths = []
+        one, many = permcipher.fisher_yates, permcipher.fisher_yates_lockstep
 
-        def second_row_runs_out(streams, size):
-            perms, ok = real(streams, size)
-            perms[1] = 0
-            ok[1] = False
+        def second_row_runs_out(stream, size):
+            # the per-row loop: row 1 of the first pass runs out
+            lengths.append(len(stream))
+            perm, used, ok = one(stream, size)
+            return (perm * 0, used, False) if len(lengths) == 2 else (perm, used, ok)
+
+        def second_row_runs_out_in_lockstep(streams, size):
+            perms, ok = many(streams, size)
+            perms[1], ok[1] = 0, False
             return perms, ok
 
+        monkeypatch.setattr(permcipher, "fisher_yates", second_row_runs_out)
         monkeypatch.setattr(permcipher, "fisher_yates_lockstep",
-                            second_row_runs_out)
-        want = np.stack([derive_permutation(KEY, ell, 64).map for ell in (3, 4, 5)])
-        assert np.array_equal(derive_permutations(KEY, [3, 4, 5], 64), want)
+                            second_row_runs_out_in_lockstep)
+        assert np.array_equal(derive_permutations(KEY, ells, 64).map, want)
+        # the row goes around again, alone, on a stream twice as long
+        assert lengths[-1] == 2 * first and lengths.count(2 * first) == 1
 
     def test_short_first_stream_retries_with_doubling(self, monkeypatch):
         # a 64-byte first stream cannot shuffle 300 samples, so every row of
         # the batch runs out and is derived again from longer streams
-        want = derive_permutations(KEY, [0, 9, 2**64 - 1], 300)
+        want = derive_permutations(KEY, [0, 9, 2**64 - 1], 300).map
         monkeypatch.setattr(permcipher, "_stream_bytes", lambda size: 0)
-        assert np.array_equal(derive_permutations(KEY, [0, 9, 2**64 - 1], 300), want)
+        assert np.array_equal(derive_permutations(KEY, [0, 9, 2**64 - 1], 300).map, want)
         assert np.array_equal(derive_permutation(KEY, 9, 300).map, want[1])
 
     def test_input_checks_come_before_keystream_work(self, monkeypatch):
@@ -156,10 +177,50 @@ class TestBatchedDerivation:
         for ells in ([-1], [0, 2**64], [3, 2**64 + 5, 4]):
             with pytest.raises(ShapeError):
                 derive_permutations(KEY, ells, 8)
-        assert derive_permutations(KEY, [], 8).shape == (0, 8)
-        assert derive_permutations(KEY, range(5, 5), 8).shape == (0, 8)
-        ones = derive_permutations(KEY, [0, 2**64 - 1], 1)
+        assert derive_permutations(KEY, [], 8).map.shape == (0, 8)
+        assert derive_permutations(KEY, range(5, 5), 8).map.shape == (0, 8)
+        ones = derive_permutations(KEY, [0, 2**64 - 1], 1).map
         assert ones.shape == (2, 1) and not ones.any()
+
+    @settings(max_examples=25, deadline=None)
+    @given(size=st.sampled_from((2, 3, 64, 257)),
+           rows=st.one_of(st.integers(1, LOCKSTEP - 1), st.integers(LOCKSTEP, LOCKSTEP + 40)),
+           first=st.integers(0, 2**64 - 1 - LOCKSTEP - 40))
+    def test_row_r_is_block_r(self, size, rows, first):
+        ells = range(first, first + rows)
+        stack = derive_permutations(KEY, ells, size)
+        for r, ell in enumerate(ells):
+            assert np.array_equal(stack.map[r], derive_permutation(KEY, ell, size).map)
+
+    def test_row_of_a_stack_is_checked_already(self, monkeypatch):
+        stack = derive_permutations(KEY, [4, 5], 16)
+        monkeypatch.setattr(Permutation, "__post_init__", None)  # no Permutation can be built
+        row = stack[1]
+        assert isinstance(row, Permutation) and row.size == 16
+        assert np.array_equal(row.map, stack.map[1]) and not row.map.flags.writeable
+        with pytest.raises(ShapeError):
+            row[0]
+
+
+def test_each_derived_map_is_checked_once(monkeypatch, tmp_path):
+    main(["keygen", "--out", str(tmp_path / "k.key"), "--seed", "3"])
+    write_iq(tmp_path / "x.iq", np.arange(64, dtype=np.complex64))
+    cfg = BerExperimentConfig(seed=1, n=64, interleaver="keyed", key=KEY)
+    checks = []
+    check = Permutation.__post_init__
+
+    def counted(self):
+        checks.append(self)
+        check(self)
+
+    monkeypatch.setattr(Permutation, "__post_init__", counted)
+
+    assert harness._chunk_permutation(cfg, 0, 0, 30).map.shape == (30, 64)
+    assert len(checks) == 1
+    checks.clear()
+    assert main(["encrypt", str(tmp_path / "x.iq"), "--out", str(tmp_path / "y.iq"),
+                 "--key", str(tmp_path / "k.key"), "--n", "16"]) == 0
+    assert len(checks) == 4
 
 
 class TestApplication:
