@@ -34,19 +34,19 @@ def read_iq(path) -> np.ndarray:
     return np.frombuffer(raw, dtype="<c8").astype(np.complex64)
 
 
-def _hex_text(raw: bytes):
-    """The key file's text when it reads as hex (whitespace around it allowed), else None."""
+def _reads_as_hex(raw: bytes) -> bool:
+    """Whether key-file bytes are hex text, with whitespace around it allowed."""
     try:
         text = raw.decode("ascii").strip()
     except UnicodeDecodeError:
-        return None
-    return text if text and all(c in string.hexdigits for c in text) else None
+        return False
+    return bool(text) and all(c in string.hexdigits for c in text)
 
 
 def write_key_file(path, key: SecretKey, hex_text: bool = True) -> None:
     if hex_text:
         Path(path).write_text(key.hex() + "\n")
-    elif _hex_text(key.key_bytes) is not None:
+    elif _reads_as_hex(key.key_bytes):
         raise KeyFormatError(f"{path}: this raw key reads as hex text; write it as hex")
     else:
         Path(path).write_bytes(key.key_bytes)
@@ -56,8 +56,7 @@ def read_key_file(path) -> SecretKey:
     raw = Path(path).read_bytes()
     if not raw:
         raise KeyFormatError(f"{path}: empty key file")
-    text = _hex_text(raw)
-    return SecretKey(raw) if text is None else SecretKey.from_hex(text)
+    return SecretKey.from_hex(raw.decode("ascii")) if _reads_as_hex(raw) else SecretKey(raw)
 
 
 def read_config(path) -> dict:
