@@ -12,7 +12,6 @@ import types
 
 from .channel import (
     ChannelProfile,
-    ChannelRealization,
     NoiseSpec,
     add_awgn,
     apply_channel_stream,
@@ -22,7 +21,6 @@ from .channel import (
 )
 from .equalizer import (
     EqualizerKind,
-    NoiseMixing,
     ber_awgn_qam,
     conditional_snr_zf,
     equalize,

@@ -6,7 +6,6 @@ reference profile used by the stock experiments ships as
 profiles/paper_sec6.txt.
 """
 
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -57,27 +56,6 @@ class ChannelProfile:
         return cls(delays=np.array(delays), mean_powers=np.array(powers))
 
 
-@dataclass(frozen=True, eq=False)
-class ChannelRealization:
-    """Dense complex tap vector h[0..max_delay]; zero-power delays are 0."""
-
-    taps: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        t = np.asarray(self.taps, dtype=np.complex128)
-        if t.ndim != 1 or t.size == 0:
-            raise ShapeError("taps must be a non-empty 1-D complex vector")
-        t.setflags(write=False)
-        object.__setattr__(self, "taps", t)
-
-    @property
-    def order(self) -> int:
-        return int(self.taps.size - 1)
-
-    def freq_response(self, n: int) -> np.ndarray:
-        return freq_response(self.taps, n)
-
-
 @dataclass(frozen=True)
 class NoiseSpec:
     """Per-sample complex noise power and the matching SNR for unit signal power."""
@@ -97,13 +75,15 @@ class NoiseSpec:
         return cls(sigma_z2=10.0 ** (-snr_db / 10.0))
 
 
-def draw_rayleigh_channel(profile: ChannelProfile, rng: np.random.Generator) -> ChannelRealization:
-    """Independent CN(0, p_m) taps at the profile delays (Rayleigh magnitudes)."""
+def draw_rayleigh_channel(profile: ChannelProfile, rng: np.random.Generator) -> np.ndarray:
+    """Independent CN(0, p_m) taps at the profile delays (Rayleigh magnitudes),
+    as a read-only complex128 vector h[0..max_delay] that is 0 at other delays."""
     k = profile.n_taps
     g = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) / np.sqrt(2.0)
     taps = np.zeros(profile.max_delay + 1, dtype=np.complex128)
     taps[profile.delays] = np.sqrt(profile.mean_powers) * g
-    return ChannelRealization(taps=taps)
+    taps.setflags(write=False)
+    return taps
 
 
 def freq_response(taps: np.ndarray, n: int) -> np.ndarray:
@@ -120,24 +100,16 @@ def freq_response(taps: np.ndarray, n: int) -> np.ndarray:
     return np.fft.fft(taps, n=n, axis=-1)
 
 
-def apply_channel_stream(stream: np.ndarray, taps: np.ndarray, n_cp: int | None = None) -> np.ndarray:
+def apply_channel_stream(stream: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """Linear convolution with the taps, truncated to the input length.
 
     stream and taps are one vector each, or (B, samples) and (B, taps)
     stacks in which row b of the stream passes through row b of the taps.
-    When n_cp is given, warns if the channel memory exceeds the cyclic
-    prefix (residual inter-block interference would survive CP removal).
     """
     stream = np.asarray(stream, dtype=np.complex128)
     taps = np.asarray(taps, dtype=np.complex128)
     if stream.ndim != taps.ndim or stream.shape[:-1] != taps.shape[:-1] or stream.ndim > 2:
         raise ShapeError(f"stream {stream.shape} and taps {taps.shape} do not pair up row by row")
-    if n_cp is not None and taps.shape[-1] - 1 > n_cp:
-        warnings.warn(
-            f"channel memory {taps.shape[-1] - 1} exceeds cyclic prefix {n_cp}; "
-            "inter-block interference will leak",
-            stacklevel=2,
-        )
     size = stream.shape[-1]
     out = np.empty_like(stream)
     for row, h, o in zip(stream.reshape(-1, size), taps.reshape(-1, taps.shape[-1]),

@@ -4,7 +4,8 @@ Simulation subcommands demand an explicit seed (no silent
 nondeterminism) and accept a config file of `key = value` lines whose
 entries any command-line flag overrides.  Their flags and config-file
 keys are derived from the fields of the config dataclasses, which hold
-every default.  Reports are CSV, written to --out or stdout.
+every default and, as `Literal` types, every choice list.  Reports are
+CSV, written to --out or stdout.
 """
 
 import argparse
@@ -16,12 +17,12 @@ import sys
 import types
 import typing
 from dataclasses import dataclass
-from typing import Optional
+from typing import Literal, Optional
 
 import numpy as np
 
 from .channel import ChannelProfile
-from .errors import IqFormatError
+from .errors import IqFormatError, ShapeError
 from .fileio import (
     parse_bool,
     parse_float_list,
@@ -110,12 +111,6 @@ def _run_cipher(args, parser, direction):
 # What the config dataclasses cannot say about their command-line form.
 _RENAMES = {"variant": "equalizer", "fresh_perm_per_block": "fresh_perm"}  # field -> flag
 _ALIASES = {"k": "repeats", "fresh_perm_per_block": "fresh_perm"}  # config-file key -> flag
-_CHOICES = {
-    "interleaver": ("none", "transpose", "keyed"),
-    "equalizer": ("zf", "mmse"),
-    "channel": ("rayleigh", "awgn"),
-    "perm": ("identity", "reversal", "random", "transpose", "keyed"),
-}
 _PARSERS = {tuple[float, ...]: parse_float_list, tuple[int, ...]: parse_int_list, bool: parse_bool}
 _LOADERS = {ChannelProfile: ChannelProfile.from_file, SecretKey: read_key_file}  # from a path
 
@@ -131,9 +126,14 @@ def _nested(tp) -> bool:
     return dataclasses.is_dataclass(tp) and tp not in _LOADERS
 
 
+def _choices(tp):
+    """The values a `Literal` field type allows, else None."""
+    return typing.get_args(tp) if typing.get_origin(tp) is Literal else None
+
+
 def _parser(tp):
     """Text -> value for a config-file entry or flag of field type `tp`."""
-    return str if tp in _LOADERS else _PARSERS.get(tp, tp)
+    return str if tp in _LOADERS or _choices(tp) else _PARSERS.get(tp, tp)
 
 
 # Cached because main() builds the parser on every call.
@@ -162,7 +162,7 @@ def _add_options(p, options) -> None:
             p.add_argument(flag, action="store_const", const=True)
         else:
             p.add_argument(flag, type=_seed if dest == "seed" else _parser(tp),
-                           choices=_CHOICES.get(dest))
+                           choices=_choices(tp))
     p.add_argument("--out")
 
 
@@ -223,15 +223,23 @@ _EXPERIMENTS = (
 )
 
 
+_IciPerm = Literal["identity", "reversal", "random", "transpose", "keyed"]
+
+
 @dataclass(frozen=True)
 class _IciOptions:
     seed: int
     n: int = 256
     m: int = 4
     trials: int = 20000
-    perm: str = "random"
+    perm: _IciPerm = "random"
     key: Optional[str] = None  # key file path, read only for perm == "keyed"
     ell: int = 0
+
+    def __post_init__(self):
+        _check_seed(self.seed)
+        if self.perm not in typing.get_args(_IciPerm):
+            raise ShapeError(f"unknown perm {self.perm!r}")
 
 
 def _cmd_measure_ici(args, parser):
@@ -244,12 +252,10 @@ def _cmd_measure_ici(args, parser):
         perm = Permutation(map=np.random.default_rng((o.seed, 0xFACE)).permutation(o.n))
     elif o.perm == "transpose":
         perm = transpose_interleaver(o.n)
-    elif o.perm == "keyed":
+    else:  # keyed
         if o.key is None:
             parser.error("--perm keyed needs --key")
         perm = derive_permutation(read_key_file(o.key), o.ell, o.n)
-    else:
-        parser.error(f"unknown --perm {o.perm!r}")
     report = measure_ici(perm, o.trials, o.n, m=o.m, seed=o.seed)
     lines = ["l,k,alpha_re,alpha_im,alpha_abs2,beta_power"]
     a = report.alpha

@@ -10,7 +10,8 @@ basis of the semi-analytic BER route.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -18,15 +19,18 @@ from .errors import ShapeError, SingularChannelError
 from .modem import QamConstellation, fft_demodulate, ifft_modulate
 
 
+Variant = Literal["zf", "mmse"]
+
+
 @dataclass(frozen=True)
 class EqualizerKind:
-    variant: str = "zf"
+    variant: Variant = "zf"
     zf_floor: float = 1e-12
     discard_below: float | None = None
     fade_bias: float | None = None
 
     def __post_init__(self):
-        if self.variant not in ("zf", "mmse"):
+        if self.variant not in get_args(Variant):
             raise ShapeError(f"unknown equalizer variant {self.variant!r}")
         if not 0 < self.zf_floor < math.inf:
             raise ShapeError("zf_floor must be positive and finite")
@@ -86,29 +90,15 @@ def equalize(y: np.ndarray, h: np.ndarray, kind: EqualizerKind, snr: float | Non
     return ifft_modulate(fft_demodulate(y) * w)
 
 
-@dataclass(frozen=True, eq=False)
-class NoiseMixing:
-    """First row of the circulant matrix mapping pre-FFT noise to de-permuted noise."""
-
-    first_row: np.ndarray = field(repr=False)
-
-    @property
-    def n(self) -> int:
-        return int(self.first_row.size)
-
-    def full_matrix(self) -> np.ndarray:
-        rows = [np.roll(self.first_row, r) for r in range(self.n)]
-        return np.vstack(rows)
-
-
-def noise_mixing_row(h: np.ndarray) -> NoiseMixing:
-    """Row 0 of V = F^H diag(1/H) F: entry m is (1/N) sum_k eps^{-mk} / H_k."""
+def noise_mixing_row(h: np.ndarray) -> np.ndarray:
+    """Row 0 of the circulant V = F^H diag(1/H) F that maps pre-FFT noise to
+    de-permuted noise: entry m is (1/N) sum_k eps^{-mk} / H_k."""
     h = np.asarray(h, dtype=np.complex128)
     if h.ndim != 1 or h.size == 0:
         raise ShapeError("response must be a non-empty 1-D vector")
     if np.any(h == 0):
         raise SingularChannelError("response has a zero bin; apply a floor first")
-    return NoiseMixing(first_row=np.fft.fft(1.0 / h) / h.size)
+    return np.fft.fft(1.0 / h) / h.size
 
 
 def conditional_snr_zf(h: np.ndarray, snr: float, zf_floor: float = 0.0) -> float:

@@ -17,11 +17,12 @@ through the link chain once as a stack (see _ber_point for the chunk sizes).
 
 import hashlib
 import math
+import warnings
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Literal, Optional, get_args
 
 import numpy as np
 
@@ -65,6 +66,9 @@ FIVE_TAP_PROFILE = ChannelProfile(
     mean_powers=np.array([0.34, 0.28, 0.23, 0.11, 0.04]),
 )
 
+Interleaver = Literal["none", "transpose", "keyed"]
+ChannelModel = Literal["rayleigh", "awgn"]
+
 _SER_CHUNK = 32  # OFDM symbols per task; fixed so results never depend on workers
 # Framed samples per BER task at most: many small blocks share a task, and a
 # large block (a transpose block at n=256 is 69,632 samples) runs alone.
@@ -86,6 +90,18 @@ class PointResult:
     symbol_errors: int
     ser: float
     ci95: float
+
+    @classmethod
+    def from_counts(cls, experiment: str, n: int, m: int, interleaver: str, equalizer: str,
+                    snr_db: float, k_mixed: int, trials: int, bit_errors: int, bits: int,
+                    symbol_errors: int, symbols: int) -> "PointResult":
+        """A row from summed error counts; a rate over no trials is 0.  ci95 is
+        the Wald half-width of BER for "ber" rows and of SER for every other row."""
+        ci95 = (wald_halfwidth(bit_errors, bits) if experiment == "ber"
+                else wald_halfwidth(symbol_errors, symbols))
+        return cls(experiment, n, m, interleaver, equalizer, snr_db, k_mixed, trials,
+                   bit_errors, bit_errors / bits if bits else 0.0,
+                   symbol_errors, symbol_errors / symbols if symbols else 0.0, ci95)
 
     def csv_row(self) -> str:
         cells = [
@@ -207,7 +223,7 @@ class BerExperimentConfig:
     n: int = 256
     m: int = 4
     n_cp: int = 16
-    interleaver: str = "transpose"  # none | transpose | keyed
+    interleaver: Interleaver = "transpose"
     l_depth: int = 1                # symbols per keyed interleaving block
     equalizer: EqualizerKind = field(default_factory=EqualizerKind)
     snr_db: tuple[float, ...] = (10.0,)
@@ -215,7 +231,7 @@ class BerExperimentConfig:
     min_blocks: Optional[int] = None
     min_errors: int = 200
     max_bits: float = 1e8
-    channel: str = "rayleigh"       # rayleigh | awgn
+    channel: ChannelModel = "rayleigh"
     profile: ChannelProfile = FIVE_TAP_PROFILE
     key: Optional[SecretKey] = None
 
@@ -223,9 +239,9 @@ class BerExperimentConfig:
         _check_seed(self.seed)
         if self.n < 4 or self.n & (self.n - 1):
             raise ShapeError("n must be a power of two >= 4")
-        if self.interleaver not in ("none", "transpose", "keyed"):
+        if self.interleaver not in get_args(Interleaver):
             raise ShapeError(f"unknown interleaver {self.interleaver!r}")
-        if self.channel not in ("rayleigh", "awgn"):
+        if self.channel not in get_args(ChannelModel):
             raise ShapeError(f"unknown channel model {self.channel!r}")
         if self.l_depth < 1:
             raise ShapeError("l_depth must be >= 1")
@@ -279,7 +295,7 @@ def _ber_chunk_entry(task):
     if cfg.channel == "awgn":
         taps = np.ones((count, 1), dtype=np.complex128)
     else:
-        taps = np.stack([draw_rayleigh_channel(cfg.profile, rng).taps for rng in rngs])
+        taps = np.stack([draw_rayleigh_channel(cfg.profile, rng) for rng in rngs])
     h = freq_response(taps, n)
 
     # rebinding x frees each stage's input, so a chunk holds few full-size arrays
@@ -336,27 +352,16 @@ def _ber_point(imap, cfg: BerExperimentConfig, workers: int, point_index: int,
         se += block_se
         if (taken >= min_blocks and be >= cfg.min_errors) or taken * bits >= cfg.max_bits:
             break
-    nbits, nsyms = taken * bits, taken * syms
-    return PointResult(
-        experiment="ber",
-        n=cfg.n, m=cfg.m,
-        interleaver=cfg.interleaver,
-        equalizer=cfg.equalizer.variant,
-        snr_db=snr_db, k_mixed=0,
-        trials=taken,
-        bit_errors=be, ber=be / nbits if nbits else 0.0,
-        symbol_errors=se, ser=se / nsyms if nsyms else 0.0,
-        ci95=wald_halfwidth(be, nbits),
-    )
+    return PointResult.from_counts(
+        "ber", cfg.n, cfg.m, cfg.interleaver, cfg.equalizer.variant, snr_db, 0,
+        trials=taken, bit_errors=be, bits=taken * bits, symbol_errors=se, symbols=taken * syms)
 
 
 def run_ber_experiment(cfg: BerExperimentConfig, workers: int = 1) -> TrialReport:
     with _task_map(workers) as imap:
-        if cfg.channel == "rayleigh":
-            # surface CP violations once, up front
-            apply_channel_stream(np.zeros(cfg.n, dtype=complex),
-                                 np.zeros(cfg.profile.max_delay + 1, dtype=complex),
-                                 n_cp=cfg.n_cp)
+        if cfg.channel == "rayleigh" and cfg.profile.max_delay > cfg.n_cp:
+            warnings.warn(f"channel memory {cfg.profile.max_delay} exceeds cyclic prefix "
+                          f"{cfg.n_cp}; inter-block interference will leak", stacklevel=2)
         rows = [_ber_point(imap, cfg, workers, pi, float(snr_db))
                 for pi, snr_db in enumerate(cfg.snr_db)]
     return TrialReport(points=tuple(rows))
@@ -433,16 +438,9 @@ def run_ser_attack_experiment(cfg: SerAttackConfig, workers: int = 1) -> TrialRe
             tasks = [(cfg, pi, m, k, ci, min(_SER_CHUNK, cfg.trials - start))
                      for ci, start in enumerate(range(0, cfg.trials, _SER_CHUNK))]
             be, nbits, se, nsyms = map(sum, zip(*imap(_ser_chunk_entry, tasks)))
-            rows.append(PointResult(
-                experiment="attack-ser",
-                n=cfg.n, m=m,
-                interleaver="sample-mix", equalizer="none",
-                snr_db=float(cfg.snr_db), k_mixed=int(k),
-                trials=cfg.trials,
-                bit_errors=be, ber=be / nbits if nbits else 0.0,
-                symbol_errors=se, ser=se / nsyms if nsyms else 0.0,
-                ci95=wald_halfwidth(se, nsyms),
-            ))
+            rows.append(PointResult.from_counts(
+                "attack-ser", cfg.n, m, "sample-mix", "none", float(cfg.snr_db), int(k),
+                trials=cfg.trials, bit_errors=be, bits=nbits, symbol_errors=se, symbols=nsyms))
     return TrialReport(points=tuple(rows))
 
 
@@ -502,18 +500,10 @@ def run_attack_recovery_experiment(cfg: AttackRecoveryConfig, workers: int = 1) 
     with _task_map(workers) as imap:
         tasks = ((cfg, t) for t in range(cfg.trials))
         hits, total = map(sum, zip(*imap(_recovery_trial_entry, tasks)))
-    misses = total - hits
-    row = PointResult(
-        experiment="attack-recovery",
-        n=cfg.size, m=0,
-        interleaver="fresh" if cfg.fresh_perm_per_block else "fixed",
-        equalizer="none",
-        snr_db=float(cfg.snr_db), k_mixed=int(cfg.repeats),
-        trials=total,
-        bit_errors=0, ber=0.0,
-        symbol_errors=misses, ser=misses / total,
-        ci95=wald_halfwidth(misses, total),
-    )
+    row = PointResult.from_counts(
+        "attack-recovery", cfg.size, 0, "fresh" if cfg.fresh_perm_per_block else "fixed",
+        "none", float(cfg.snr_db), int(cfg.repeats),
+        trials=total, bit_errors=0, bits=0, symbol_errors=total - hits, symbols=total)
     return TrialReport(points=(row,))
 
 
@@ -552,8 +542,7 @@ def analyze_snr(cfg: SnrAnalysisConfig) -> TrialReport:
         ensemble = []
         for bi in range(cfg.blocks):
             rng = np.random.default_rng((cfg.seed, pi, bi))
-            taps = draw_rayleigh_channel(cfg.profile, rng).taps
-            ensemble.append(freq_response(taps, cfg.n))
+            ensemble.append(freq_response(draw_rayleigh_channel(cfg.profile, rng), cfg.n))
         ber = semi_analytic_ber(ensemble, snr, cfg.m, zf_floor=cfg.zf_floor)
         rows.append(PointResult(
             experiment="snr-analytic",

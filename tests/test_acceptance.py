@@ -75,7 +75,7 @@ def test_criterion_1_modem_exactness():
     # zero-noise multipath chain: bits must come back identically
     n, n_cp = 256, 16
     const = QamConstellation.square(4)
-    taps = draw_rayleigh_channel(FIVE_TAP_PROFILE, rng).taps
+    taps = draw_rayleigh_channel(FIVE_TAP_PROFILE, rng)
     h = freq_response(taps, n)
     key = SecretKey(bytes(range(32)))
     bits = rng.integers(0, 2, size=8 * n * 2, dtype=np.uint8)
@@ -157,7 +157,7 @@ def test_criterion_4_noise_variance_prediction():
     samples = 0
     for r in range(20):
         rng = np.random.default_rng((44, 0, r))
-        taps = draw_rayleigh_channel(FIVE_TAP_PROFILE, rng).taps
+        taps = draw_rayleigh_channel(FIVE_TAP_PROFILE, rng)
         h = freq_response(taps, n)
         pred = 1.0 / conditional_snr_zf(h, snr, zf_floor=1e-12)
         acc = np.zeros(n)
@@ -196,7 +196,7 @@ def test_criterion_5_cross_subcarrier_orthogonality():
     worst = 0.0
     for r in range(100):
         rng = np.random.default_rng((55, r))
-        h = freq_response(draw_rayleigh_channel(FIVE_TAP_PROFILE, rng).taps, n)
+        h = freq_response(draw_rayleigh_channel(FIVE_TAP_PROFILE, rng), n)
         cross = s[(i[:, None] - i[None, :]) % n] / (h[:, None] * np.conj(h)[None, :])
         off = np.abs(cross[~np.eye(n, dtype=bool)])
         worst = max(worst, float(off.max()))

@@ -426,6 +426,21 @@ class TestSimulationCommands:
             assert float(row[4]) == pytest.approx(1.0, abs=1e-9)
             assert float(row[5]) == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.parametrize("cmd,key,message", [
+        ("simulate-ber", "interleaver", "unknown interleaver 'bogus'"),
+        ("simulate-ber", "channel", "unknown channel model 'bogus'"),
+        ("simulate-ber", "equalizer", "unknown equalizer variant 'bogus'"),
+        ("measure-ici", "perm", "unknown perm 'bogus'"),
+    ])
+    def test_config_value_outside_choices_fails_cleanly(self, tmp_path, capsys, cmd, key,
+                                                        message):
+        conf = tmp_path / "c.conf"
+        conf.write_text(f"seed = 1\nn = 8\n{key} = bogus\n")
+        out = tmp_path / "x.csv"
+        assert main([cmd, "--config", str(conf), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
     def test_measure_ici_keyed_needs_key(self):
         with pytest.raises(SystemExit):
             main(["measure-ici", "--seed", "0", "--n", "8", "--perm", "keyed"])
@@ -488,7 +503,8 @@ class TestSimulationCommands:
     @pytest.mark.parametrize("argv", [
         ["simulate-ber", "--interleaver", "keyed", "--n", "16", "--blocks", "1"],
         ["simulate-attack-recovery", "--size", "8", "--repeats", "2", "--trials", "1"],
-    ], ids=["ber-keyed", "attack-recovery"])
+        ["measure-ici", "--n", "8", "--trials", "1", "--perm", "identity"],
+    ], ids=["ber-keyed", "attack-recovery", "measure-ici"])
     def test_seed_outside_64_bits_fails_cleanly(self, tmp_path, capsys, argv):
         out = tmp_path / "x.csv"
         with pytest.raises(SystemExit) as exc:

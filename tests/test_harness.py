@@ -486,7 +486,7 @@ class TestSnrAnalysis:
         for bi in range(10):
             rng = np.random.default_rng((7, 0, bi))
             hs.append(freq_response(
-                draw_rayleigh_channel(FIVE_TAP_PROFILE, rng).taps, 32))
+                draw_rayleigh_channel(FIVE_TAP_PROFILE, rng), 32))
         expect = semi_analytic_ber(hs, NoiseSpec.from_snr_db(12.0).snr, 4)
         assert pt.ber == expect
         assert pt.trials == 10 and pt.ci95 == 0.0
