@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ShapeError, out_array
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,47 +100,83 @@ def freq_response(taps: np.ndarray, n: int) -> np.ndarray:
     return np.fft.fft(taps, n=n, axis=-1)
 
 
-def apply_channel_stream(stream: np.ndarray, taps: np.ndarray) -> np.ndarray:
+# Output samples per np.convolve call, so its temporaries stay small.
+_CONVOLVE_SEGMENT = 4096
+# Normal draws per pass of add_awgn.
+_NOISE_SLICE = 8192
+
+
+def apply_channel_stream(stream: np.ndarray, taps: np.ndarray, out=None) -> np.ndarray:
     """Linear convolution with the taps, truncated to the input length.
 
     stream and taps are one vector each, or (B, samples) and (B, taps)
     stacks in which row b of the stream passes through row b of the taps.
+    out, when given, receives the result and must not overlap stream.
+
+    Each row is convolved in segments: the first in np.convolve's full mode,
+    the rest in its valid mode over the segment and the taps - 1 samples
+    before it.  Every output sample is then the same dot product, term for
+    term, as in one full-mode call on the whole row.
     """
     stream = np.asarray(stream, dtype=np.complex128)
     taps = np.asarray(taps, dtype=np.complex128)
     if stream.ndim != taps.ndim or stream.shape[:-1] != taps.shape[:-1] or stream.ndim > 2:
         raise ShapeError(f"stream {stream.shape} and taps {taps.shape} do not pair up row by row")
-    size = stream.shape[-1]
-    out = np.empty_like(stream)
-    for row, h, o in zip(stream.reshape(-1, size), taps.reshape(-1, taps.shape[-1]),
-                         out.reshape(-1, size)):
-        o[:] = np.convolve(row, h)[:size]
+    out = out_array(out, stream.shape, np.complex128)
+    if np.may_share_memory(stream, out):
+        raise ShapeError("out must not overlap stream")
+    size, t = stream.shape[-1], taps.shape[-1]
+    seg = max(_CONVOLVE_SEGMENT, t)
+    first = min(seg, size)
+    for row, h, o in zip(stream.reshape(-1, size), taps.reshape(-1, t), out.reshape(-1, size)):
+        o[:first] = np.convolve(row[:first], h)[:first]
+        for s in range(seg, size, seg):
+            o[s:s + seg] = np.convolve(row[s - t + 1:s + seg], h, mode="valid")
     return out
 
 
-def add_awgn(x: np.ndarray, noise: NoiseSpec | float, rng) -> np.ndarray:
+def add_awgn(x: np.ndarray, noise: NoiseSpec | float, rng, out=None) -> np.ndarray:
     """Add circularly symmetric complex Gaussian noise of total power sigma_z2.
 
     rng is one Generator for all of x, or a sequence of Generators, one per
     row of x along its first axis; each draws its row's real parts, then
     its imaginary parts, as a single Generator would for that row alone.
+    out, when given, receives the noisy samples; it may be x itself.
     """
     sigma_z2 = noise.sigma_z2 if isinstance(noise, NoiseSpec) else float(noise)
     if sigma_z2 < 0:
         raise ShapeError("noise power must be non-negative")
-    out = np.array(x, dtype=np.complex128)
+    x = np.asarray(x)
+    out = out_array(out, x.shape, np.complex128)
+    if out is not x:
+        np.copyto(out, x)
     if isinstance(rng, np.random.Generator):
-        draws = rng.standard_normal((2,) + out.shape)  # real parts, then imaginary
+        gens, rows = [rng], out.reshape(1, -1)
     else:
         if len(rng) != len(out):
             raise ShapeError(f"{len(rng)} generators for {len(out)} rows")
-        rows = np.empty((len(out), 2) + out.shape[1:])
-        for g, row in zip(rng, rows):
-            g.standard_normal(out=row)
-        draws = rows.swapaxes(0, 1)
-    draws *= np.sqrt(sigma_z2 / 2.0)
-    out.real += draws[0]
-    out.imag += draws[1]
+        gens, rows = rng, out.reshape(len(out), -1)
+    r = rows.shape[1]
+    scale = np.sqrt(sigma_z2 / 2.0)
+    group = _NOISE_SLICE // max(1, 2 * r)
+    if group:  # the draws of `group` whole rows fit one slice
+        draws = np.empty((min(group, len(rows)), 2, r))
+        for g0 in range(0, len(rows), group):
+            d = draws[:len(rows) - g0]
+            for g, row_draws in zip(gens[g0:g0 + group], d):
+                g.standard_normal(out=row_draws)
+            d *= scale
+            rows[g0:g0 + group].real += d[:, 0]
+            rows[g0:g0 + group].imag += d[:, 1]
+    else:  # a row's real parts, then its imaginary parts, a slice at a time
+        draws = np.empty(_NOISE_SLICE)
+        for g, row in zip(gens, rows):
+            for part in (row.real, row.imag):
+                for s in range(0, r, _NOISE_SLICE):
+                    d = draws[:r - s]
+                    g.standard_normal(out=d)
+                    d *= scale
+                    part[s:s + d.size] += d
     return out
 
 

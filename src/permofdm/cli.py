@@ -103,7 +103,7 @@ def _run_cipher(args, parser, direction):
     # changes.
     permute = encrypt_block if direction == "enc" else decrypt_block
     for b, block in enumerate(samples.reshape(-1, size)):
-        block[:] = permute(block, derive_permutation(key, args.ell + b, size))
+        permute(block, derive_permutation(key, args.ell + b, size), out=block)
     write_iq(args.out, samples)
     return 0
 
@@ -275,6 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="permofdm",
         description="Permutation-secured OFDM link simulator and attack bench",
     )
+    # Each handler gets its own subcommand's parser, so a usage error found
+    # after parsing prints that subcommand's usage.
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("keygen", help="generate a key file")
@@ -283,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, default=None,
                    help="deterministic key derivation (testing only)")
     p.add_argument("--raw", action="store_true", help="write raw bytes, not hex")
-    p.set_defaults(handler=_cmd_keygen)
+    p.set_defaults(handler=_cmd_keygen, parser=p)
 
     for name, direction in (("encrypt", "enc"), ("decrypt", "dec")):
         p = sub.add_parser(name, help=f"{name} a binary IQ sample file")
@@ -293,26 +295,26 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, required=True, help="samples per OFDM symbol")
         p.add_argument("--l", type=int, default=1, help="symbols per interleaving block")
         p.add_argument("--ell", type=int, default=0, help="starting block counter")
-        p.set_defaults(handler=lambda a, pr, d=direction: _run_cipher(a, pr, d))
+        p.set_defaults(handler=functools.partial(_run_cipher, direction=direction), parser=p)
 
     for name, help_, cls, runner in _EXPERIMENTS:
         p = sub.add_parser(name, help=help_)
         _add_options(p, _options(cls) + _runner_options(runner))
-        p.set_defaults(handler=lambda a, pr, c=cls, r=runner: _run_experiment(a, pr, c, r))
+        p.set_defaults(handler=functools.partial(_run_experiment, cls=cls, runner=runner),
+                       parser=p)
 
     p = sub.add_parser("measure-ici",
                        help="per-subcarrier attenuation/self-interference of a permutation")
     _add_options(p, _options(_IciOptions))
-    p.set_defaults(handler=_cmd_measure_ici)
+    p.set_defaults(handler=_cmd_measure_ici, parser=p)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args, parser)
+        return args.handler(args, args.parser)
     except (OSError, ValueError) as e:  # the package's errors are ValueErrors
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -76,18 +76,22 @@ def equalizer_weights(h: np.ndarray, kind: EqualizerKind, snr: float | None = No
     return w
 
 
-def equalize(y: np.ndarray, h: np.ndarray, kind: EqualizerKind, snr: float | None = None) -> np.ndarray:
+def equalize(y: np.ndarray, h: np.ndarray, kind: EqualizerKind, snr: float | None = None,
+             out=None) -> np.ndarray:
     """Equalize rows of time-domain samples in the frequency domain.
 
     h broadcasts against y: an (N,) response serves every row of y, and a
     (B, 1, N) stack gives each (L, N) block of a (B, L, N) y its own channel.
+    out, when given, receives the equalized samples; it may be y itself.
     """
     y = np.asarray(y, dtype=np.complex128)
     h = np.asarray(h, dtype=np.complex128)
     if y.shape[-1] != h.shape[-1] or h.ndim > y.ndim:
         raise ShapeError(f"blocks of shape {y.shape} do not match responses of shape {h.shape}")
     w = equalizer_weights(h, kind, snr)
-    return ifft_modulate(fft_demodulate(y) * w)
+    z = fft_demodulate(y, out=out)
+    z *= w
+    return ifft_modulate(z, out=z)
 
 
 def noise_mixing_row(h: np.ndarray) -> np.ndarray:

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the out= check that raises one."""
+
+import numpy as np
 
 
 class ShapeError(ValueError):
@@ -35,3 +37,17 @@ class BruteForceCostError(ValueError):
 
 class AmbiguousMatchWarning(UserWarning):
     """Two candidate matches were closer than the tolerance; assignment is arbitrary."""
+
+
+def out_array(out, shape, dtype) -> np.ndarray:
+    """A kernel's result array: out, checked, or a new array when out is None.
+
+    A given out must be C-contiguous with the result's shape and dtype, so
+    that kernels can view it as rows.
+    """
+    if out is None:
+        return np.empty(shape, dtype=dtype)
+    if out.shape != tuple(shape) or out.dtype != dtype or not out.flags.c_contiguous:
+        raise ShapeError(f"out must be a C-contiguous {np.dtype(dtype)} array of shape "
+                         f"{tuple(shape)}, got {out.dtype} {out.shape}")
+    return out

@@ -12,11 +12,13 @@ min_errors bit errors AND min_blocks blocks have been seen, or until the
 block or total-bit cap is hit.
 
 A BER task is a chunk of consecutive blocks of one point, which runs
-through the link chain once as a stack (see _ber_point for the chunk sizes).
+through the link chain once as a stack (see _ber_point for the chunk sizes),
+in two buffers that the thread reuses from chunk to chunk (_chain_buffers).
 """
 
 import hashlib
 import math
+import threading
 import warnings
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
@@ -279,18 +281,42 @@ def _chunk_permutation(cfg: BerExperimentConfig, point_index: int, b0: int, b1: 
     return derive_permutations(key, range(base + b0, base + b1), size)
 
 
+# Per thread, the two framed buffers of the last chunk geometry; see _chain_buffers.
+_chain_cache = threading.local()
+
+
+def _chain_buffers(count: int, l_eff: int, framed: int):
+    """Two (count, l_eff, framed) complex128 buffers that the link chain
+    writes in turn, reused across this thread's chunks while l_eff and the
+    framed length stay and count fits.  Reusing them keeps a chunk from
+    taking fresh pages for every stage.  run_ber_experiment drops them."""
+    cached = getattr(_chain_cache, "buffers", None)
+    if cached is None or cached[0].shape[1:] != (l_eff, framed) or len(cached[0]) < count:
+        cached = tuple(np.empty((count, l_eff, framed), dtype=np.complex128) for _ in range(2))
+        _chain_cache.buffers = cached
+    return [buf[:count] for buf in cached]
+
+
 def _ber_chunk_entry(task):
     """Blocks [b0, b1) of one point: (b1 - b0, 2) bit and symbol errors per block.
 
     Block b draws its channel taps, bits and noise, in that order, from
     default_rng((seed, point_index, b)); every stage then runs once on the
-    blocks stacked along a leading axis.
+    blocks stacked along a leading axis.  Each stage writes into whichever of
+    the two chain buffers its input is not in, so of the full-size arrays a
+    chunk allocates only the bits and the point indices.
     """
     cfg, point_index, snr_db, b0, b1 = task
     rngs = [np.random.default_rng((cfg.seed, point_index, b)) for b in range(b0, b1)]
     count, n, n_cp, l_eff = b1 - b0, cfg.n, cfg.n_cp, cfg.symbols_per_block
     const = QamConstellation.square(cfg.m)
     k = const.bits_per_symbol
+    a, b = _chain_buffers(count, l_eff, n + n_cp)
+
+    def spare(x, framed=False):
+        """The chain buffer x is not in: framed, or its head as (count, l_eff, n)."""
+        s = a if np.may_share_memory(x, b) else b
+        return s if framed else s.reshape(-1)[:count * l_eff * n].reshape(count, l_eff, n)
 
     if cfg.channel == "awgn":
         taps = np.ones((count, 1), dtype=np.complex128)
@@ -298,21 +324,24 @@ def _ber_chunk_entry(task):
         taps = np.stack([draw_rayleigh_channel(cfg.profile, rng) for rng in rngs])
     h = freq_response(taps, n)
 
-    # rebinding x frees each stage's input, so a chunk holds few full-size arrays
     tx_idx, x = qam_symbols(
-        np.stack([rng.integers(0, 2, size=(l_eff, n, k), dtype=np.uint8) for rng in rngs]), const)
-    x = ifft_modulate(x)
+        np.stack([rng.integers(0, 2, size=(l_eff, n, k), dtype=np.uint8) for rng in rngs]),
+        const, out=spare(b))
+    x = ifft_modulate(x, out=spare(x))
     perm = _chunk_permutation(cfg, point_index, b0, b1)
-    x = x if perm is None else encrypt_block(x, perm)
+    if perm is not None:
+        x = encrypt_block(x, perm, out=spare(x))
 
     noise = NoiseSpec.from_snr_db(snr_db)
-    x = add_cp(x, n_cp).reshape(count, -1)
-    x = add_awgn(apply_channel_stream(x, taps), noise, rngs)
+    x = add_cp(x, n_cp, out=spare(x, framed=True)).reshape(count, -1)
+    x = apply_channel_stream(x, taps, out=spare(x, framed=True).reshape(count, -1))
+    x = add_awgn(x, noise, rngs, out=x)
 
     x = remove_cp(x.reshape(count, l_eff, n + n_cp), n, n_cp)
-    x = equalize(x, h[:, None, :], cfg.equalizer, snr=noise.snr)
-    x = x if perm is None else decrypt_block(x, perm)
-    rx_idx = qam_point_indices(fft_demodulate(x), const)
+    x = equalize(x, h[:, None, :], cfg.equalizer, snr=noise.snr, out=spare(x))
+    if perm is not None:
+        x = decrypt_block(x, perm, out=spare(x))
+    rx_idx = qam_point_indices(fft_demodulate(x, out=x), const)
     return _error_counts(tx_idx, rx_idx, k)
 
 
@@ -358,12 +387,16 @@ def _ber_point(imap, cfg: BerExperimentConfig, workers: int, point_index: int,
 
 
 def run_ber_experiment(cfg: BerExperimentConfig, workers: int = 1) -> TrialReport:
-    with _task_map(workers) as imap:
-        if cfg.channel == "rayleigh" and cfg.profile.max_delay > cfg.n_cp:
-            warnings.warn(f"channel memory {cfg.profile.max_delay} exceeds cyclic prefix "
-                          f"{cfg.n_cp}; inter-block interference will leak", stacklevel=2)
-        rows = [_ber_point(imap, cfg, workers, pi, float(snr_db))
-                for pi, snr_db in enumerate(cfg.snr_db)]
+    try:
+        with _task_map(workers) as imap:
+            if cfg.channel == "rayleigh" and cfg.profile.max_delay > cfg.n_cp:
+                warnings.warn(f"channel memory {cfg.profile.max_delay} exceeds cyclic prefix "
+                              f"{cfg.n_cp}; inter-block interference will leak", stacklevel=2)
+            rows = [_ber_point(imap, cfg, workers, pi, float(snr_db))
+                    for pi, snr_db in enumerate(cfg.snr_db)]
+    finally:
+        # one worker ran the chunks in this thread; a pool's buffers end with it
+        vars(_chain_cache).pop("buffers", None)
     return TrialReport(points=tuple(rows))
 
 
@@ -486,7 +519,7 @@ def _recovery_trial_entry(task):
     if cfg.fresh_perm_per_block:
         perm = derive_permutations(key, range(base, base + cfg.repeats), size)
         truth = perm[0]
-        obs = encrypt_block(np.broadcast_to(x, perm.map.shape), perm)
+        obs = encrypt_block(x, perm)
     else:
         truth = derive_permutation(key, base, size)
         obs = np.broadcast_to(encrypt_block(x, truth), (cfg.repeats, size))

@@ -60,16 +60,21 @@ def qam_modulate(bits: np.ndarray, c: QamConstellation) -> np.ndarray:
         raise ShapeError(
             f"bit count {bits.size} is not a multiple of {c.bits_per_symbol}"
         )
+    if ((bits != 0) & (bits != 1)).any():
+        raise ShapeError("bits must be 0 or 1")
     return qam_symbols(bits.reshape(-1, c.bits_per_symbol).astype(np.int64), c)[1]
 
 
-def qam_symbols(bits: np.ndarray, c: QamConstellation):
-    """Bit groups on the last axis packed MSB first: (point indices, points)."""
+def qam_symbols(bits: np.ndarray, c: QamConstellation, out=None):
+    """0/1 bit groups on the last axis packed MSB first: (point indices, points).
+
+    out, when given, receives the points.
+    """
     idx = bits[..., 0].astype(np.int64)
     for j in range(1, c.bits_per_symbol):
         idx <<= 1
         idx |= bits[..., j]
-    return idx, c.points[idx]
+    return idx, np.take(c.points, idx, out=out, mode="clip")
 
 
 def qam_demodulate(symbols: np.ndarray, c: QamConstellation) -> np.ndarray:
@@ -79,13 +84,22 @@ def qam_demodulate(symbols: np.ndarray, c: QamConstellation) -> np.ndarray:
     return ((idx[:, None] >> shifts) & 1).astype(np.uint8).reshape(-1)
 
 
+# Samples decided per pass, so the decisions' temporaries stay small.
+_DECISION_SLICE = 8192
+
+
 def qam_point_indices(symbols: np.ndarray, c: QamConstellation) -> np.ndarray:
     """Index of the nearest point to each symbol; ShapeError if any is not finite."""
     sym = np.ascontiguousarray(np.asarray(symbols, dtype=np.complex128).reshape(-1))
-    if not np.isfinite(sym).all():
-        raise ShapeError("symbols must be finite to be decided")
     bpa = c.bits_per_symbol // 2
-    return demod_points(sym.real, sym.imag, c.levels_per_axis, bpa, c.scale)
+    idx = np.empty(sym.size, dtype=np.int64)
+    for s in range(0, sym.size, _DECISION_SLICE):
+        part = sym[s:s + _DECISION_SLICE]
+        if not np.isfinite(part).all():
+            raise ShapeError("symbols must be finite to be decided")
+        idx[s:s + _DECISION_SLICE] = demod_points(part.real, part.imag, c.levels_per_axis,
+                                                  bpa, c.scale)
+    return idx
 
 
 def demod_points(re, im, L, bpa, scale):
@@ -114,36 +128,42 @@ def _demod_axis(v, L, scale):
     return b ^ (b >> 1)
 
 
-def ifft_modulate(d: np.ndarray) -> np.ndarray:
-    """Frequency-domain symbols to time samples, unitary (norm-preserving)."""
+def ifft_modulate(d: np.ndarray, out=None) -> np.ndarray:
+    """Frequency-domain symbols to time samples, unitary (norm-preserving).
+
+    out, when given, receives the samples; it may be d itself.
+    """
     d = np.asarray(d, dtype=np.complex128)
     if d.shape[-1] == 0:
         raise ShapeError("empty symbol vector")
-    return np.fft.ifft(d, axis=-1, norm="ortho")
+    return np.fft.ifft(d, axis=-1, norm="ortho", out=out)
 
 
-def fft_demodulate(x: np.ndarray) -> np.ndarray:
-    """Inverse of ifft_modulate."""
+def fft_demodulate(x: np.ndarray, out=None) -> np.ndarray:
+    """Inverse of ifft_modulate; out, when given, receives the symbols."""
     x = np.asarray(x, dtype=np.complex128)
     if x.shape[-1] == 0:
         raise ShapeError("empty sample vector")
-    return np.fft.fft(x, axis=-1, norm="ortho")
+    return np.fft.fft(x, axis=-1, norm="ortho", out=out)
 
 
-def add_cp(x: np.ndarray, n_cp: int) -> np.ndarray:
-    """Prepend the last n_cp samples of each row (rows = unframed blocks)."""
+def add_cp(x: np.ndarray, n_cp: int, out=None) -> np.ndarray:
+    """Prepend the last n_cp samples of each row (rows = unframed blocks).
+
+    out, when given, receives the framed rows.
+    """
     x = np.asarray(x)
     n = x.shape[-1]
     if n_cp < 0 or n_cp > n:
         raise FramingError(f"n_cp={n_cp} outside [0, {n}]")
-    return np.concatenate([x[..., n - n_cp:], x], axis=-1)
+    return np.concatenate([x[..., n - n_cp:], x], axis=-1, out=out)
 
 
 def remove_cp(x: np.ndarray, n: int, n_cp: int) -> np.ndarray:
-    """Strip the prefix from framed rows of length n + n_cp."""
+    """The framed rows of length n + n_cp without their prefix, as a view."""
     x = np.asarray(x)
     if x.shape[-1] != n + n_cp:
         raise FramingError(
             f"framed length {x.shape[-1]} != N + N_cp = {n + n_cp}"
         )
-    return x[..., n_cp:].copy()
+    return x[..., n_cp:]

@@ -26,7 +26,10 @@ one-block case.
 ``encrypt_block`` and ``decrypt_block`` are the only code that applies a
 map.  They take any number of whole blocks at once: a ``Permutation`` holds
 one map, which serves every block, or a (B, size) stack, whose row r serves
-block r.
+block r; ``encrypt_block`` also spreads one block through every map of a
+stack.  Both are gathers by np.take (decryption of a single map through
+its inverse, computed once per Permutation), and both write into an
+``out=`` array when given one.
 """
 
 import functools
@@ -39,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
-from .errors import KeyFormatError, ShapeError
+from .errors import KeyFormatError, ShapeError, out_array
 
 MIN_KEY_BYTES = 16
 
@@ -75,7 +78,9 @@ class Permutation:
     """One map of length size, or a (B, size) stack of B maps.
 
     The map is copied and frozen, so the caller's array stays writable and
-    later writes to it do not reach the Permutation.
+    later writes to it do not reach the Permutation.  The cipher gathers
+    through _index, a writable alias of the map, because np.take copies a
+    read-only index array on every call.
     """
 
     map: np.ndarray = field(repr=False)
@@ -88,20 +93,31 @@ class Permutation:
         if m.ndim not in (1, 2) or m.shape[-1] == 0 or not (
                 np.sort(m, axis=-1) == np.arange(m.shape[-1])).all():
             raise ShapeError("map is not a permutation of 0..size-1 with size >= 1")
-        m.setflags(write=False)
-        object.__setattr__(self, "map", m)
+        frozen = m.view()
+        frozen.setflags(write=False)
+        object.__setattr__(self, "map", frozen)
+        object.__setattr__(self, "_index", m)
 
     def __getitem__(self, r) -> "Permutation":
         """Map r of a stack, without checking it again."""
         if self.map.ndim != 2:
             raise ShapeError("a single map has no rows")
+        r = operator.index(r)
         row = object.__new__(Permutation)
-        object.__setattr__(row, "map", self.map[operator.index(r)])
+        object.__setattr__(row, "map", self.map[r])
+        object.__setattr__(row, "_index", self._index[r])
         return row
 
     @property
     def size(self) -> int:
         return int(self.map.shape[-1])
+
+    @functools.cached_property
+    def _inverse_map(self) -> np.ndarray:
+        """The inverse of a single map, computed once; an involution is its own."""
+        inv = np.empty_like(self._index)
+        inv[self._index] = np.arange(self.size)
+        return self._index if np.array_equal(inv, self._index) else inv
 
     def inverse(self) -> "Permutation":
         ramp = np.broadcast_to(np.arange(self.size), self.map.shape)
@@ -330,33 +346,50 @@ def transpose_interleaver(n: int) -> Permutation:
     )
 
 
-def _positions(p: Permutation, x: np.ndarray) -> np.ndarray:
-    """(B, size) flat positions of x's B blocks that p's maps gather from."""
+def _blocks(p: Permutation, x: np.ndarray) -> int:
+    """How many blocks of p.size samples x holds, checked against p's stack."""
     if x.size % p.size:
         raise ShapeError(f"sample count {x.size} is not a whole number of blocks of {p.size}")
     count = x.size // p.size
     if p.map.ndim == 2 and len(p.map) != count:
         raise ShapeError(f"{count} blocks for a stack of {len(p.map)} maps")
-    return p.map + p.size * np.arange(count)[:, None]
+    return count
 
 
-def encrypt_block(x: np.ndarray, p: Permutation) -> np.ndarray:
+def encrypt_block(x: np.ndarray, p: Permutation, out=None) -> np.ndarray:
     """Scramble samples: output position n of a block holds its sample map[n].
 
     x holds whole blocks of p.size samples, flattened in C order (an (L, N)
     grid with L*N == p.size is one symbol-major block); its shape is kept.
+    x may also be one block that each of a stack's B maps scrambles, giving
+    B blocks stacked on a new leading axis.  out, when given, receives the
+    result.
     """
     x = np.asarray(x)
-    return x.reshape(-1)[_positions(p, x)].reshape(x.shape)
+    shared = p.map.ndim == 2 and len(p.map) > 1 and x.size == p.size  # one block, B maps
+    shape = (len(p.map),) + x.shape if shared else x.shape
+    count = len(p.map) if shared else _blocks(p, x)
+    out = out_array(out, shape, x.dtype)
+    rows = out.reshape(count, p.size)
+    if p.map.ndim == 1:
+        np.take(x.reshape(count, p.size), p._index, axis=1, out=rows, mode="clip")
+    else:
+        positions = p._index if shared else p._index + p.size * np.arange(count)[:, None]
+        np.take(x.reshape(-1), positions, out=rows, mode="clip")
+    return out
 
 
-def decrypt_block(y: np.ndarray, p: Permutation) -> np.ndarray:
-    """Inverse of encrypt_block under the same permutation."""
+def decrypt_block(y: np.ndarray, p: Permutation, out=None) -> np.ndarray:
+    """Inverse of encrypt_block under the same permutation, one block per map."""
     y = np.asarray(y)
-    positions = _positions(p, y)
-    out = np.empty(y.size, dtype=y.dtype)
-    out[positions] = y.reshape(positions.shape)
-    return out.reshape(y.shape)
+    count = _blocks(p, y)
+    out = out_array(out, y.shape, y.dtype)
+    if p.map.ndim == 1:
+        np.take(y.reshape(count, p.size), p._inverse_map, axis=1,
+                out=out.reshape(count, p.size), mode="clip")
+    else:
+        out.reshape(-1)[p._index + p.size * np.arange(count)[:, None]] = y.reshape(count, p.size)
+    return out
 
 
 def keyspace_bits(size: int) -> float:

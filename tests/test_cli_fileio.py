@@ -445,6 +445,19 @@ class TestSimulationCommands:
         with pytest.raises(SystemExit):
             main(["measure-ici", "--seed", "0", "--n", "8", "--perm", "keyed"])
 
+    @pytest.mark.parametrize("argv, message", [
+        (["measure-ici", "--seed", "0", "--n", "8", "--perm", "keyed"],
+         "--perm keyed needs --key"),
+        (["simulate-ber", "--n", "16"], "--seed is required"),
+    ])
+    def test_usage_error_after_parsing_names_the_subcommand(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: permofdm {argv[0]} ")
+        assert err.splitlines()[-1].startswith(f"permofdm {argv[0]}: error: {message}")
+
     def test_invalid_flag_value(self):
         with pytest.raises(SystemExit):
             main(["simulate-ber", "--seed", "1", "--equalizer", "dfe"])

@@ -314,9 +314,9 @@ class TestBerExperiment:
     def test_chunk_permutes_through_the_cipher_once(self, monkeypatch, kwargs):
         calls = {"encrypt_block": 0, "decrypt_block": 0}
         for name in calls:
-            def counting(x, p, fn=getattr(harness, name), name=name):
+            def counting(x, p, fn=getattr(harness, name), name=name, **kwargs):
                 calls[name] += 1
-                return fn(x, p)
+                return fn(x, p, **kwargs)
             monkeypatch.setattr(harness, name, counting)
         cfg = BerExperimentConfig(seed=4, blocks=20, snr_db=(8.0,), **kwargs)
         assert harness._ber_chunk_entry((cfg, 0, 8.0, 2, 7)).shape == (5, 2)
@@ -580,3 +580,64 @@ class TestIciMeasurement:
             measure_ici(Permutation.identity(8), trials=10, n=0)
         with pytest.raises(ShapeError):
             ici_alpha_exact(Permutation.identity(12), 6)
+
+
+class TestChainBuffers:
+    """The BER chain's reused buffers change no result and outlive no run."""
+
+    def test_concurrent_runs_match_serial_and_leave_no_buffers(self):
+        import sys
+        import threading
+        cfgs = [BerExperimentConfig(seed=31, n=16, snr_db=(4.0, 12.0), blocks=30, min_errors=50),
+                BerExperimentConfig(seed=32, n=32, interleaver="keyed", l_depth=3, n_cp=12,
+                                    snr_db=(6.0,), blocks=40, min_errors=80, key=KEY),
+                BerExperimentConfig(seed=33, n=8, interleaver="none", n_cp=0, channel="awgn",
+                                    snr_db=(3.0,), blocks=25)]
+        serial = [run_ber_experiment(cfg).to_csv() for cfg in cfgs]
+        assert "buffers" not in vars(harness._chain_cache)
+        start = threading.Barrier(len(cfgs))
+        results = [None] * len(cfgs)
+
+        def run(i):
+            start.wait()
+            csv = [run_ber_experiment(cfgs[i]).to_csv() for _ in range(3)]
+            results[i] = csv, "buffers" in vars(harness._chain_cache)
+
+        # more threads than cores, switching often, so their chunks interleave
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(cfgs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [([csv] * 3, False) for csv in serial]
+
+    def test_buffers_are_dropped_when_a_run_raises(self, monkeypatch):
+        def fail(*args):
+            raise RuntimeError("stop")
+        monkeypatch.setattr(harness, "_error_counts", fail)
+        with pytest.raises(RuntimeError):
+            run_ber_experiment(BerExperimentConfig(seed=3, n=16, blocks=2))
+        assert "buffers" not in vars(harness._chain_cache)
+
+    def test_steady_chunk_allocates_little(self):
+        # A transpose n=256 block is 69,632 framed samples (1.1 MB each
+        # stage); after a warm-up chunk its stages run in the cached buffers.
+        import tracemalloc
+        cfg = BerExperimentConfig(seed=5, n=256, snr_db=(10.0,), blocks=4)
+        try:
+            harness._ber_chunk_entry((cfg, 0, 10.0, 0, 1))
+            tracemalloc.start()
+            try:
+                harness._ber_chunk_entry((cfg, 0, 10.0, 1, 2))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        finally:
+            vars(harness._chain_cache).pop("buffers", None)
+        assert peak <= 2e6

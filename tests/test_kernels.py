@@ -314,3 +314,70 @@ class TestBruteForceScan:
         assert resid == 0.0
         assert np.array_equal(cands[idx], np.array([0, 1, 2]))
 
+
+
+def _bits_equal(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestOutParameter:
+    """Every link-chain kernel with out= fills and returns out, bit for bit
+    as its allocating call, on one block and on a stack of blocks."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(count=st.integers(0, 3), l=st.integers(1, 3), n=st.sampled_from([4, 8, 16]),
+           n_cp=st.integers(0, 4), t=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_out_matches_the_allocating_call(self, count, l, n, n_cp, t, seed):
+        from permofdm import channel, equalizer
+        rng = np.random.default_rng(seed)
+        lead = (count,) if count else ()  # count 0 is one block with no stack axis
+
+        def cnormal(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        x = cnormal(*lead, l, n)
+        one = permcipher.Permutation(map=rng.permutation(l * n))
+        perms = [one] + ([permcipher.Permutation(
+            map=np.stack([rng.permutation(l * n) for _ in range(count)]))] if count else [])
+        stream = cnormal(*lead, l * (n + n_cp))
+        taps = cnormal(*lead, t)
+        h = cnormal(*lead, 1, n) if count else cnormal(n)
+        const = modem.QamConstellation.square(16)
+        bits = rng.integers(0, 2, size=(*lead, l, n, 4), dtype=np.uint8)
+        gens = lambda: ([np.random.default_rng((seed, r)) for r in range(count)] if count
+                        else np.random.default_rng(seed))
+        kind = equalizer.EqualizerKind()
+        calls = [
+            (lambda out: modem.ifft_modulate(x, out=out), x.shape, True),
+            (lambda out: modem.fft_demodulate(x, out=out), x.shape, True),
+            (lambda out: modem.add_cp(x, n_cp, out=out), x.shape[:-1] + (n + n_cp,), False),
+            (lambda out: modem.qam_symbols(bits, const, out=out)[1], x.shape, False),
+            (lambda out: channel.apply_channel_stream(stream, taps, out=out), stream.shape,
+             False),
+            (lambda out: channel.add_awgn(x, 0.3, gens(), out=out), x.shape, True),
+            (lambda out: equalizer.equalize(x, h, kind, out=out), x.shape, True),
+        ]
+        for p in perms:
+            calls.append((lambda out, p=p: permcipher.encrypt_block(x, p, out=out), x.shape, True))
+            calls.append((lambda out, p=p: permcipher.decrypt_block(x, p, out=out), x.shape, True))
+        for call, shape, in_place in calls:
+            want = call(None)
+            out = np.empty(shape, dtype=np.complex128)
+            assert call(out) is out
+            assert _bits_equal(out, want)
+            if in_place:  # out may be the input itself
+                saved = x.copy()
+                assert call(x) is x
+                assert _bits_equal(x, want)
+                x[...] = saved
+
+    def test_wrong_out_is_refused(self):
+        x = np.zeros((2, 8), dtype=np.complex128)
+        p = permcipher.Permutation.identity(8)
+        for out in (np.empty((2, 9), complex), np.empty((2, 8), np.complex64),
+                    np.empty((8, 2), complex).T):
+            with pytest.raises(permcipher.ShapeError):
+                permcipher.encrypt_block(x, p, out=out)
+        from permofdm import channel
+        with pytest.raises(permcipher.ShapeError, match="overlap"):
+            channel.apply_channel_stream(x, np.ones((2, 1), complex), out=x)

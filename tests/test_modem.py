@@ -124,6 +124,12 @@ class TestQamMapping:
         with pytest.raises(ShapeError):
             qam_modulate(np.array([0, 1, 1], dtype=np.uint8), c)
 
+    def test_bits_other_than_0_and_1_rejected(self):
+        c = QamConstellation.square(4)
+        for bits in ([0, 2], [1, 1, 0, 3], [-1, 0]):
+            with pytest.raises(ShapeError, match="0 or 1"):
+                qam_modulate(np.array(bits), c)
+
 
 class TestTransforms:
     def test_roundtrip_and_unitarity(self):

@@ -314,13 +314,27 @@ class TestBatchApplication:
 
     def test_block_count_checks(self):
         stack = Permutation(map=np.stack([np.arange(4), np.arange(4)[::-1]]))
-        for x in (np.zeros(4), np.zeros((3, 4)), np.zeros(10)):
+        for x in (np.zeros((3, 4)), np.zeros(10)):
             for fn in (encrypt_block, decrypt_block):
                 with pytest.raises(ShapeError):
                     fn(x, stack)
+        with pytest.raises(ShapeError):
+            decrypt_block(np.zeros(4), stack)  # only encrypt_block spreads one block
         for fn in (encrypt_block, decrypt_block):
             with pytest.raises(ShapeError):
                 fn(np.zeros(10), Permutation.identity(4))
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(size=st.integers(1, 40), rows=st.integers(2, 6), data=st.data())
+    def test_one_block_through_a_stack(self, size, rows, data):
+        (x,) = _blocks(data, size, 1)
+        p = Permutation(map=np.stack([np.random.default_rng(r).permutation(size)
+                                      for r in range(rows)]))
+        y = encrypt_block(x, p)
+        assert y.shape == (rows, size)
+        assert np.array_equal(y, np.stack([x[m] for m in p.map]))
+        assert np.array_equal(decrypt_block(y, p), np.broadcast_to(x, y.shape))
 
 
 class TestTransposeInterleaver:
