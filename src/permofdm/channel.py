@@ -102,7 +102,7 @@ def freq_response(taps: np.ndarray, n: int) -> np.ndarray:
 
 # Output samples per np.convolve call, so its temporaries stay small.
 _CONVOLVE_SEGMENT = 4096
-# Normal draws per pass of add_awgn.
+# Normal draws per pass of add_awgn, so its draw buffer stays small.
 _NOISE_SLICE = 8192
 
 
