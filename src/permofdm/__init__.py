@@ -51,6 +51,7 @@ from .harness import (
     FIVE_TAP_PROFILE,
     IciReport,
     PointResult,
+    PointStop,
     SerAttackConfig,
     SnrAnalysisConfig,
     TrialReport,

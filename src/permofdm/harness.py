@@ -9,14 +9,20 @@ are grouped into tasks.
 
 Per-point stopping for BER runs: blocks accumulate until at least
 min_errors bit errors AND min_blocks blocks have been seen, or until the
-block or total-bit cap is hit.
+block or total-bit cap is hit.  The report records which of the three
+stopped each point, outside the CSV.
 
 A BER task is a chunk of consecutive blocks of one point, which runs
-through the link chain once as a stack (see _ber_point for the chunk sizes),
-in two buffers that the thread reuses from chunk to chunk (_chain_buffers).
+through the link chain once as a stack, in two buffers that the thread
+reuses from chunk to chunk (_chain_buffers).  Every point of a run goes
+through one task stream (_BerStream): each chunk ends at the point's
+predicted stop, and a pool fills its window with the chunks the
+predictions say are needed, earliest point first, before it computes
+past any prediction.
 """
 
 import hashlib
+import itertools
 import math
 import threading
 import warnings
@@ -115,9 +121,24 @@ class PointResult:
         return ",".join(cells)
 
 
+StopReason = Literal["error-budget", "bit-cap", "block-cap"]
+
+
+@dataclass(frozen=True)
+class PointStop:
+    """How one BER point ended, kept out of the CSV: the rule that stopped
+    it, the blocks handed to the workers, and how many of those were
+    cancelled before they started."""
+
+    reason: StopReason
+    submitted: int
+    cancelled: int
+
+
 @dataclass(frozen=True)
 class TrialReport:
     points: tuple
+    stops: tuple = ()  # one PointStop per point of a BER run
 
     def to_csv(self) -> str:
         return "\n".join([CSV_HEADER] + [p.csv_row() for p in self.points]) + "\n"
@@ -172,29 +193,45 @@ def _check_workers(workers: int) -> None:
 
 @contextmanager
 def _task_map(workers: int):
-    """Yield imap(entry, tasks), a lazy map whose results come in task order.
+    """Yield imap(entry, tasks, drop=None), a lazy map that yields each task
+    with its result, in task order.
 
     With one worker a task is computed only when its result is taken, so a
     caller that stops early computes nothing past the stop.  A pool keeps
-    2 * workers tasks in flight, submitting the next as each result is
-    taken; when the caller stops, the tasks not yet started are cancelled.
+    2 * workers tasks in flight and asks `tasks` for the next one only after
+    a result has been taken, so later tasks can depend on earlier results.
+    After each result, the tasks in flight that drop(task) selects are let
+    go: one not yet started is cancelled and comes back at once with the
+    result None, and one already running is not waited for.  When the caller
+    stops, the tasks not yet started are cancelled.
     """
     _check_workers(workers)
     if workers == 1:
-        yield map
+        def serial(entry, tasks, drop=None):
+            return ((task, entry(task)) for task in tasks)
+        yield serial
         return
     with ProcessPoolExecutor(max_workers=workers) as executor:
-        def imap(entry, tasks):
-            pending = deque()
+        def imap(entry, tasks, drop=None):
+            tasks, pending = iter(tasks), deque()
             try:
-                for task in tasks:
-                    pending.append(executor.submit(entry, task))
-                    if len(pending) == 2 * workers:
-                        yield pending.popleft().result()
-                while pending:
-                    yield pending.popleft().result()
+                while True:
+                    if drop is not None:
+                        kept, dropped = deque(), []
+                        for item in pending:
+                            (dropped if drop(item[0]) else kept).append(item)
+                        pending = kept
+                        for task, future in dropped:
+                            if future.cancel():
+                                yield task, None
+                    for task in itertools.islice(tasks, 2 * workers - len(pending)):
+                        pending.append((task, executor.submit(entry, task)))
+                    if not pending:
+                        return
+                    task, future = pending.popleft()
+                    yield task, future.result()
             finally:
-                for future in pending:
+                for _, future in pending:
                     future.cancel()
         yield imap
 
@@ -345,59 +382,119 @@ def _ber_chunk_entry(task):
     return _error_counts(tx_idx, rx_idx, k)
 
 
-def _ber_point(imap, cfg: BerExperimentConfig, workers: int, point_index: int,
-               snr_db: float) -> PointResult:
-    """Take one point's blocks in index order until the stopping rule holds.
+@dataclass
+class _PointTally:
+    """One BER point's folded counts; blocks [0, next_block) are submitted."""
 
-    One worker computes the next chunk only after folding the last, so it
-    ends each chunk at the first block where the rule could stop: the error
-    budget needs min_blocks in all and at least ceil(remaining errors / bits
-    per block) more, and the bit cap stops at a block known in advance.  A
-    pool runs chunks of the most blocks a task may hold.
+    index: int
+    snr_db: float
+    taken: int = 0
+    bit_errors: int = 0
+    symbol_errors: int = 0
+    next_block: int = 0
+    cancelled: int = 0
+    reason: Optional[StopReason] = None
+
+
+class _BerStream:
+    """Every point of one BER run, as one stream of chunk tasks.
+
+    fold() takes each point's blocks in index order until the stopping rule
+    holds; tasks() picks the next chunk only when asked, from what has been
+    folded by then, so the chunks submitted depend only on the results.
     """
-    min_blocks = cfg.min_blocks if cfg.min_blocks is not None else min(200, cfg.blocks)
-    syms = cfg.symbols_per_block * cfg.n
-    bits = syms * QamConstellation.square(cfg.m).bits_per_symbol
-    most = max(1, _CHUNK_SAMPLES // (cfg.symbols_per_block * (cfg.n + cfg.n_cp)))
-    cap = min(cfg.blocks, math.ceil(cfg.max_bits / bits))
-    taken = be = se = 0
 
-    def tasks():
-        # read when the next task is asked for: at one worker, after the
-        # fold below has taken every block of the last chunk
-        b0 = 0
-        while b0 < cfg.blocks:
-            b1 = cfg.blocks
-            if workers == 1:
-                b1 = min(max(min_blocks, taken - (be - cfg.min_errors) // bits), cap)
-            b1 = min(max(b1, b0 + 1), b0 + most)
-            yield cfg, point_index, snr_db, b0, b1
-            b0 = b1
+    def __init__(self, cfg: BerExperimentConfig, workers: int):
+        self.cfg, self.workers = cfg, workers
+        self.min_blocks = cfg.min_blocks if cfg.min_blocks is not None else min(200, cfg.blocks)
+        self.syms = cfg.symbols_per_block * cfg.n
+        self.bits = self.syms * QamConstellation.square(cfg.m).bits_per_symbol
+        self.most = max(1, _CHUNK_SAMPLES // (cfg.symbols_per_block * (cfg.n + cfg.n_cp)))
+        self.cap = min(cfg.blocks, math.ceil(cfg.max_bits / self.bits))
+        self.points = [_PointTally(pi, float(snr_db)) for pi, snr_db in enumerate(cfg.snr_db)]
 
-    blocks = (counts for chunk in imap(_ber_chunk_entry, tasks()) for counts in chunk.tolist())
-    for block_be, block_se in blocks:
-        taken += 1
-        be += block_be
-        se += block_se
-        if (taken >= min_blocks and be >= cfg.min_errors) or taken * bits >= cfg.max_bits:
-            break
-    return PointResult.from_counts(
-        "ber", cfg.n, cfg.m, cfg.interleaver, cfg.equalizer.variant, snr_db, 0,
-        trials=taken, bit_errors=be, bits=taken * bits, symbol_errors=se, symbols=taken * syms)
+    def _predicted_stop(self, p: _PointTally) -> int:
+        """The block count p is predicted to stop at, above its blocks taken.
+
+        One worker predicts the fewest blocks that could meet the error
+        budget, every bit wrong, so it computes no block past the stop.  A
+        pool extrapolates the point's running error rate, and with no error
+        yet predicts the block cap.
+        """
+        need = self.cfg.min_errors - p.bit_errors
+        if need > 0 and self.workers > 1:
+            more = -(-need * p.taken // p.bit_errors) if p.bit_errors else self.cap
+        else:
+            more = -(-need // self.bits)
+        return max(min(max(self.min_blocks, p.taken + more), self.cap), p.taken + 1)
+
+    def _next_chunk(self):
+        live = [p for p in self.points if p.reason is None]
+        # Chunks the predictions say are needed, earliest point first.  A
+        # point with no block folded yet needs only its first chunk.
+        for p in live:
+            if p.taken or not p.next_block:
+                stop = self._predicted_stop(p)
+                if p.next_block < stop:
+                    return p, min(stop, p.next_block + self.most)
+        # Past every prediction: speculate on the earliest open point.
+        for p in live:
+            if p.next_block < self.cfg.blocks:
+                return p, min(self.cfg.blocks, p.next_block + self.most)
+        return None
+
+    def tasks(self):
+        while (chunk := self._next_chunk()) is not None:
+            p, b1 = chunk
+            b0, p.next_block = p.next_block, b1
+            yield self.cfg, p.index, p.snr_db, b0, b1
+
+    def stopped(self, task) -> bool:
+        return self.points[task[1]].reason is not None
+
+    def fold(self, task, counts) -> None:
+        """Take a chunk's blocks in order up to the stop; counts is None for
+        a chunk cancelled before it started."""
+        cfg, p, (_, _, _, b0, b1) = self.cfg, self.points[task[1]], task
+        if counts is None:
+            p.cancelled += b1 - b0
+            return
+        for block_be, block_se in counts.tolist():
+            p.taken += 1
+            p.bit_errors += block_be
+            p.symbol_errors += block_se
+            if p.taken >= self.min_blocks and p.bit_errors >= cfg.min_errors:
+                p.reason = "error-budget"
+            elif p.taken * self.bits >= cfg.max_bits:
+                p.reason = "bit-cap"
+            elif p.taken == cfg.blocks:
+                p.reason = "block-cap"
+            if p.reason is not None:
+                return
+
+    def report(self) -> TrialReport:
+        cfg = self.cfg
+        rows = tuple(PointResult.from_counts(
+            "ber", cfg.n, cfg.m, cfg.interleaver, cfg.equalizer.variant, p.snr_db, 0,
+            trials=p.taken, bit_errors=p.bit_errors, bits=p.taken * self.bits,
+            symbol_errors=p.symbol_errors, symbols=p.taken * self.syms) for p in self.points)
+        stops = tuple(PointStop(p.reason, p.next_block, p.cancelled) for p in self.points)
+        return TrialReport(points=rows, stops=stops)
 
 
 def run_ber_experiment(cfg: BerExperimentConfig, workers: int = 1) -> TrialReport:
+    stream = _BerStream(cfg, workers)
     try:
         with _task_map(workers) as imap:
             if cfg.channel == "rayleigh" and cfg.profile.max_delay > cfg.n_cp:
                 warnings.warn(f"channel memory {cfg.profile.max_delay} exceeds cyclic prefix "
                               f"{cfg.n_cp}; inter-block interference will leak", stacklevel=2)
-            rows = [_ber_point(imap, cfg, workers, pi, float(snr_db))
-                    for pi, snr_db in enumerate(cfg.snr_db)]
+            for task, counts in imap(_ber_chunk_entry, stream.tasks(), stream.stopped):
+                stream.fold(task, counts)
     finally:
         # one worker ran the chunks in this thread; a pool's buffers end with it
         vars(_chain_cache).pop("buffers", None)
-    return TrialReport(points=tuple(rows))
+    return stream.report()
 
 
 # ---------------------------------------------------------------------------
@@ -465,16 +562,18 @@ def _ser_chunk_entry(task):
 
 def run_ser_attack_experiment(cfg: SerAttackConfig, workers: int = 1) -> TrialReport:
     points = [(m, k) for m in cfg.m_values for k in cfg.k_values]
-    rows = []
+    tasks = ((cfg, pi, m, k, ci, min(_SER_CHUNK, cfg.trials - start))
+             for pi, (m, k) in enumerate(points)
+             for ci, start in enumerate(range(0, cfg.trials, _SER_CHUNK)))
+    sums = [(0, 0, 0, 0)] * len(points)
     with _task_map(workers) as imap:
-        for pi, (m, k) in enumerate(points):
-            tasks = [(cfg, pi, m, k, ci, min(_SER_CHUNK, cfg.trials - start))
-                     for ci, start in enumerate(range(0, cfg.trials, _SER_CHUNK))]
-            be, nbits, se, nsyms = map(sum, zip(*imap(_ser_chunk_entry, tasks)))
-            rows.append(PointResult.from_counts(
-                "attack-ser", cfg.n, m, "sample-mix", "none", float(cfg.snr_db), int(k),
-                trials=cfg.trials, bit_errors=be, bits=nbits, symbol_errors=se, symbols=nsyms))
-    return TrialReport(points=tuple(rows))
+        for task, counts in imap(_ser_chunk_entry, tasks):
+            sums[task[1]] = tuple(map(sum, zip(sums[task[1]], counts)))
+    return TrialReport(points=tuple(
+        PointResult.from_counts(
+            "attack-ser", cfg.n, m, "sample-mix", "none", float(cfg.snr_db), int(k),
+            trials=cfg.trials, bit_errors=be, bits=nbits, symbol_errors=se, symbols=nsyms)
+        for (m, k), (be, nbits, se, nsyms) in zip(points, sums)))
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +631,7 @@ def _recovery_trial_entry(task):
 def run_attack_recovery_experiment(cfg: AttackRecoveryConfig, workers: int = 1) -> TrialReport:
     with _task_map(workers) as imap:
         tasks = ((cfg, t) for t in range(cfg.trials))
-        hits, total = map(sum, zip(*imap(_recovery_trial_entry, tasks)))
+        hits, total = map(sum, zip(*(res for _, res in imap(_recovery_trial_entry, tasks))))
     row = PointResult.from_counts(
         "attack-recovery", cfg.size, 0, "fresh" if cfg.fresh_perm_per_block else "fixed",
         "none", float(cfg.snr_db), int(cfg.repeats),

@@ -200,18 +200,43 @@ class TestBerExperiment:
         BerExperimentConfig(seed=13, n=64, snr_db=(0.0,), blocks=60,
                             min_blocks=4, min_errors=100),
     ], ids=["bit-cap", "error-budget"])
-    def test_one_worker_computes_only_the_blocks_taken(self, monkeypatch, cfg):
-        blocks = [0]
-        entry = harness._ber_chunk_entry
-
-        def counting(task):
-            *_, b0, b1 = task
-            blocks[0] += b1 - b0
-            return entry(task)
-
-        monkeypatch.setattr(harness, "_ber_chunk_entry", counting)
+    def test_one_worker_computes_only_the_blocks_taken(self, cfg):
         report = run_ber_experiment(cfg)
-        assert blocks[0] == sum(p.trials for p in report.points)
+        assert [(s.submitted, s.cancelled) for s in report.stops] == [
+            (p.trials, 0) for p in report.points]
+
+    @staticmethod
+    def stop_reason(cfg, point):
+        """The rule that ends a point with point.trials blocks taken, checked
+        in the engine's order."""
+        bits = cfg.symbols_per_block * cfg.n * (cfg.m.bit_length() - 1)
+        min_blocks = cfg.min_blocks if cfg.min_blocks is not None else min(200, cfg.blocks)
+        if point.trials >= min_blocks and point.bit_errors >= cfg.min_errors:
+            return "error-budget"
+        if point.trials * bits >= cfg.max_bits:
+            return "bit-cap"
+        assert point.trials == cfg.blocks
+        return "block-cap"
+
+    @pytest.mark.parametrize("seed", (1, 2, 3))
+    def test_pool_submits_little_past_the_stops(self, seed):
+        # The benchmark's ber-keyed-2w config: its key file holds
+        # SHA-256(b"perfbench key" || seed as 8 big-endian bytes).
+        import hashlib
+        import multiprocessing
+        key = SecretKey(hashlib.sha256(b"perfbench key" + seed.to_bytes(8, "big")).digest())
+        cfg = BerExperimentConfig(seed=seed, n=256, m=4, n_cp=16, interleaver="keyed",
+                                  snr_db=(6.0, 12.0, 18.0, 24.0), min_blocks=2, blocks=600,
+                                  min_errors=3000, max_bits=1e8, key=key)
+        runs = [run_ber_experiment(cfg, workers=2) for _ in range(2)]
+        assert not multiprocessing.active_children()
+        taken = sum(p.trials for p in runs[0].points)
+        submitted = [sum(s.submitted for s in run.stops) for run in runs]
+        # the chunks submitted follow from the folded results alone
+        assert submitted[0] == submitted[1] <= 1.10 * taken
+        assert runs[0].to_csv() == runs[1].to_csv()
+        assert [s.reason for s in runs[0].stops] == [
+            self.stop_reason(cfg, p) for p in runs[0].points]
 
     # Rows captured when every block ran as its own task.  A pool chunk holds
     # 8192 // samples-per-block blocks, so "edge16" (transpose, n=16) and
@@ -285,10 +310,42 @@ class TestBerExperiment:
 
     @pytest.mark.parametrize("workers", (1, 2, 3))
     def test_csv_matches_golden_rows(self, workers):
+        reasons = set()
         for kwargs, rows in self.GOLDEN:
             cfg = BerExperimentConfig(**kwargs)
-            csv = run_ber_experiment(cfg, workers=workers).to_csv()
-            assert csv == "\n".join([CSV_HEADER, *rows]) + "\n", kwargs
+            report = run_ber_experiment(cfg, workers=workers)
+            assert report.to_csv() == "\n".join([CSV_HEADER, *rows]) + "\n", kwargs
+            assert [s.reason for s in report.stops] == [
+                self.stop_reason(cfg, p) for p in report.points], kwargs
+            for s, p in zip(report.stops, report.points):
+                assert s.submitted >= p.trials and 0 <= s.cancelled <= s.submitted - p.trials
+                assert workers > 1 or s.submitted == p.trials
+            reasons.update(s.reason for s in report.stops)
+        assert reasons == {"error-budget", "bit-cap", "block-cap"}
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.sampled_from(["none", "transpose", "keyed"]),
+           st.sampled_from([4, 8, 16, 32, 64]), st.integers(1, 3),
+           st.sampled_from(["error-budget", "bit-cap", "block-cap"]),
+           st.integers(0, 2 ** 64 - 1),
+           st.lists(st.floats(-5.0, 30.0), max_size=2).flatmap(
+               lambda extra: st.permutations([0.0, 60.0, *extra])),
+           st.integers(0, 4), st.integers(0, 400))
+    def test_csv_is_the_same_at_one_two_and_three_workers(
+            self, interleaver, n, l_depth, rule, seed, snr_db, min_blocks, budget):
+        bits = (l_depth if interleaver == "keyed" else n) * n * 2
+        stopping = {"error-budget": dict(min_errors=budget),
+                    "bit-cap": dict(min_errors=10 ** 9, max_bits=bits * budget // 40 + 1),
+                    "block-cap": dict(min_errors=10 ** 9)}[rule]
+        cfg = BerExperimentConfig(
+            seed=seed, n=n, n_cp=min(n, 16), interleaver=interleaver, l_depth=l_depth,
+            channel="rayleigh" if n > 11 else "awgn", snr_db=tuple(snr_db),
+            blocks=40, min_blocks=min_blocks, **stopping)
+        serial = run_ber_experiment(cfg)
+        for workers in (2, 3):
+            pooled = run_ber_experiment(cfg, workers=workers)
+            assert pooled.to_csv() == serial.to_csv()
+            assert [s.reason for s in pooled.stops] == [s.reason for s in serial.stops]
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([
@@ -410,6 +467,26 @@ class TestSerAttackExperiment:
                               k_values=(0, 8), trials=70)
         assert (run_ser_attack_experiment(cfg).to_csv()
                 == run_ser_attack_experiment(cfg, workers=3).to_csv())
+
+    # captured when each (M, k) point ran through its own task map
+    GOLDEN = [
+        "attack-ser,16,4,sample-mix,none,20,0,70,0,0,0,0,0",
+        "attack-ser,16,4,sample-mix,none,20,3,70,894,0.399107,702,0.626786,0.028326",
+        "attack-ser,16,4,sample-mix,none,20,16,70,1071,0.478125,800,0.714286,0.0264575",
+        "attack-ser,16,16,sample-mix,none,20,0,70,0,0,0,0,0",
+        "attack-ser,16,16,sample-mix,none,20,3,70,1903,0.424777,952,0.85,0.0209123",
+        "attack-ser,16,16,sample-mix,none,20,16,70,2093,0.467187,983,0.877679,0.0191896",
+        "attack-ser,16,64,sample-mix,none,20,0,70,63,0.009375,62,0.0553571,0.0133927",
+        "attack-ser,16,64,sample-mix,none,20,3,70,2913,0.433482,1026,0.916071,0.0162393",
+        "attack-ser,16,64,sample-mix,none,20,16,70,3117,0.463839,1037,0.925893,0.0153411",
+    ]
+
+    @pytest.mark.parametrize("workers", (1, 2, 3))
+    def test_csv_matches_golden_rows(self, workers):
+        cfg = SerAttackConfig(seed=23, n=16, m_values=(4, 16, 64), k_values=(0, 3, 16),
+                              snr_db=20.0, trials=70)
+        csv = run_ser_attack_experiment(cfg, workers=workers).to_csv()
+        assert csv == "\n".join([CSV_HEADER, *self.GOLDEN]) + "\n"
 
     def test_validation(self):
         with pytest.raises(ShapeError):
