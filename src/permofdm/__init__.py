@@ -58,7 +58,7 @@ from .harness import (
     analyze_snr,
     ici_alpha_exact,
     measure_ici,
-    mix_samples,
+    mixing_map,
     run_attack_recovery_experiment,
     run_ber_experiment,
     run_ser_attack_experiment,

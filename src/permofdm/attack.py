@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 
 from .errors import AmbiguousMatchWarning, BruteForceCostError, ShapeError
-from .permcipher import Permutation, keyspace_bits
+from .permcipher import Permutation, encrypt_block, keyspace_bits
 
 BRUTE_FORCE_MAX_SIZE = 8
 
@@ -59,10 +59,9 @@ def averaging_attack(x_known: np.ndarray, observations: np.ndarray,
 
 
 def brute_force_attack(x_known: np.ndarray, y_observed: np.ndarray) -> Permutation:
-    """Exhaustive least-squares search over all size! permutations.
-
-    Refuses sizes above BRUTE_FORCE_MAX_SIZE with a cost report; ties
-    resolve as in brute_force_scan.
+    """Exhaustive least-squares search over all size! permutations, in
+    lexicographic order through one encrypt_block call, so ties resolve to the
+    smallest map.  Refuses sizes above BRUTE_FORCE_MAX_SIZE with a cost report.
     """
     x = np.ascontiguousarray(np.asarray(x_known, dtype=np.complex128).reshape(-1))
     y = np.ascontiguousarray(np.asarray(y_observed, dtype=np.complex128).reshape(-1))
@@ -71,9 +70,9 @@ def brute_force_attack(x_known: np.ndarray, y_observed: np.ndarray) -> Permutati
     size = x.size
     if size > BRUTE_FORCE_MAX_SIZE:
         raise BruteForceCostError(size, keyspace_bits(size))
-    cands = np.array(list(itertools.permutations(range(size))), dtype=np.int64)
-    idx, _ = brute_force_scan(cands, x, y)
-    return Permutation(map=cands[idx])
+    cands = Permutation(map=list(itertools.permutations(range(size))))
+    residual = (np.abs(y - encrypt_block(x, cands).reshape(-1, size)) ** 2).sum(axis=1)
+    return Permutation(map=cands.map[int(np.argmin(residual))])  # copied: cands can be freed
 
 
 def greedy_assign(dist, tol):
@@ -99,18 +98,6 @@ def greedy_assign(dist, tol):
         perm[n] = k
         used[k] = True
     return perm, n_ambiguous
-
-
-def brute_force_scan(cands, x, y):
-    """(index, residual) of the first candidate map minimizing sum |y_n - x[cand[n]]|^2.
-
-    cands is in lexicographic order, so ties resolve to the
-    lexicographically smallest map.
-    """
-    res = np.abs(y[None, :] - x[cands]) ** 2
-    total = res.sum(axis=1)
-    idx = int(np.argmin(total))
-    return idx, float(total[idx])
 
 
 def recovery_rate(estimate: Permutation, truth: Permutation) -> float:

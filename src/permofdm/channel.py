@@ -26,8 +26,9 @@ class ChannelProfile:
             raise ShapeError("delays and mean_powers must be equal-length 1-D")
         if d[0] != 0 or np.any(np.diff(d) <= 0):
             raise ShapeError("delays must start at 0 and increase strictly")
-        if np.any(p < 0) or p.sum() <= 0:
-            raise ShapeError("mean powers must be non-negative with positive sum")
+        with np.errstate(over="ignore"):  # a sum that overflows is inf; a NaN power fails too
+            if np.any(p < 0) or not 0 < p.sum() < np.inf:
+                raise ShapeError("mean powers must be non-negative with a positive, finite sum")
         d.setflags(write=False)
         p.setflags(write=False)
         object.__setattr__(self, "delays", d)

@@ -16,6 +16,7 @@ import inspect
 import sys
 import types
 import typing
+import warnings
 from dataclasses import dataclass
 from typing import Literal, Optional
 
@@ -73,8 +74,8 @@ def _seed(text: str) -> int:
 
 def _cmd_keygen(args, parser):
     n = args.n_bytes
-    if n < 16:
-        parser.error("--bytes must be >= 16")
+    if not 16 <= n <= 1 << 20:  # the cap keeps a typo from drawing gigabytes
+        parser.error(f"--bytes must be in [16, {1 << 20}]")
     if args.seed is not None:
         prefix = b"permofdm keygen" + args.seed.to_bytes(8, "big")
         digests = [hashlib.sha256(prefix + counter.to_bytes(4, "big")).digest()
@@ -313,11 +314,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.handler(args, args.parser)
-    except (OSError, ValueError) as e:  # the package's errors are ValueErrors
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():  # a warning is one `warning:` line, with no source line
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return args.handler(args, args.parser)
+        except (OSError, ValueError) as e:  # the package's errors are ValueErrors
+            print(f"error: {e}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

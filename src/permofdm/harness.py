@@ -57,7 +57,6 @@ from .permcipher import (
     Permutation,
     SecretKey,
     decrypt_block,
-    derive_permutation,
     derive_permutations,
     encrypt_block,
     transpose_interleaver,
@@ -529,17 +528,17 @@ class SerAttackConfig:
         _check_snr_db((self.snr_db,))
 
 
-def mix_samples(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Displace k samples of x: remove a uniform k-subset, close the gap
-    keeping the survivors' relative order, and append the removed samples
-    in uniformly random order."""
-    n = x.size
+def mixing_map(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """The disorder of one n-sample symbol as a map for encrypt_block: a
+    uniform k-subset of positions is removed, the survivors close the gap in
+    their relative order, and the removed ones follow in uniformly random
+    order.  k == 0 is the identity and draws nothing."""
     if k == 0:
-        return x
+        return np.arange(n)
     pos = rng.choice(n, size=k, replace=False)
-    keep = np.setdiff1d(np.arange(n), pos)
-    tail = x[pos][rng.permutation(k)]
-    return np.concatenate([x[keep], tail])
+    kept = np.ones(n, dtype=bool)
+    kept[pos] = False
+    return np.concatenate([np.flatnonzero(kept), pos[rng.permutation(k)]])
 
 
 def _ser_chunk_entry(task):
@@ -550,11 +549,8 @@ def _ser_chunk_entry(task):
 
     k = const.bits_per_symbol
     tx_idx, d = qam_symbols(rng.integers(0, 2, size=(count, cfg.n, k), dtype=np.uint8), const)
-    x = ifft_modulate(d)
-    mixed = np.empty_like(x)
-    for t in range(count):
-        mixed[t] = mix_samples(x[t], k_mixed, rng)
-    y = add_awgn(mixed, noise, rng)
+    maps = Permutation(map=np.stack([mixing_map(cfg.n, k_mixed, rng) for _ in range(count)]))
+    y = add_awgn(encrypt_block(ifft_modulate(d), maps), noise, rng)
     rx_idx = qam_point_indices(fft_demodulate(y), const)
     bit_errors, symbol_errors = _error_counts(tx_idx, rx_idx, k).sum(axis=0).tolist()
     return bit_errors, tx_idx.size * k, symbol_errors, tx_idx.size
@@ -614,17 +610,13 @@ def _recovery_trial_entry(task):
     noise = NoiseSpec.from_snr_db(cfg.snr_db)
     x = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2.0)
 
+    # A fixed map serves every observation; fresh maps give one each.
     base = trial_index * cfg.repeats
-    if cfg.fresh_perm_per_block:
-        perm = derive_permutations(key, range(base, base + cfg.repeats), size)
-        truth = perm[0]
-        obs = encrypt_block(x, perm)
-    else:
-        truth = derive_permutation(key, base, size)
-        obs = np.broadcast_to(encrypt_block(x, truth), (cfg.repeats, size))
-    obs = add_awgn(obs, noise, rng)
-    est = averaging_attack(x, obs)
-    hits = int(round(recovery_rate(est, truth) * size))
+    perm = derive_permutations(
+        key, range(base, base + (cfg.repeats if cfg.fresh_perm_per_block else 1)), size)
+    obs = np.broadcast_to(encrypt_block(x, perm), (cfg.repeats, size))
+    est = averaging_attack(x, add_awgn(obs, noise, rng))
+    hits = int(round(recovery_rate(est, perm[0]) * size))
     return hits, size
 
 
@@ -726,10 +718,8 @@ def measure_ici(perm: Permutation, trials: int, n: int, m: int = 4,
     acc_yy = np.zeros((l_eff, n), dtype=np.float64)
     acc_dd = np.zeros((l_eff, n), dtype=np.float64)
 
-    chunk = max(1, 4096 // max(1, l_eff))
-    done = 0
-    ci = 0
-    while done < trials:
+    chunk = max(1, 4096 // l_eff)
+    for ci, done in enumerate(range(0, trials, chunk)):
         count = min(chunk, trials - done)
         rng = np.random.default_rng((seed, ci))
         idx = rng.integers(0, const.M, size=(count, l_eff, n))
@@ -739,8 +729,6 @@ def measure_ici(perm: Permutation, trials: int, n: int, m: int = 4,
         acc_yd += (yf * np.conj(d)).sum(axis=0)
         acc_yy += (np.abs(yf) ** 2).sum(axis=0)
         acc_dd += (np.abs(d) ** 2).sum(axis=0)
-        done += count
-        ci += 1
 
     alpha = acc_yd / trials  # sigma_d^2 = 1
     beta_power = (

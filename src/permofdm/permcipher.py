@@ -362,8 +362,8 @@ def encrypt_block(x: np.ndarray, p: Permutation, out=None) -> np.ndarray:
     x holds whole blocks of p.size samples, flattened in C order (an (L, N)
     grid with L*N == p.size is one symbol-major block); its shape is kept.
     x may also be one block that each of a stack's B maps scrambles, giving
-    B blocks stacked on a new leading axis.  out, when given, receives the
-    result.
+    B blocks stacked on a new leading axis when B > 1; a one-map stack keeps
+    x's shape.  out, when given, receives the result.
     """
     x = np.asarray(x)
     shared = p.map.ndim == 2 and len(p.map) > 1 and x.size == p.size  # one block, B maps

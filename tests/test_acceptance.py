@@ -6,12 +6,15 @@ the stated tolerance and runtime budget.
 """
 
 import itertools
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
+import permofdm
 from permofdm import (
     FIVE_TAP_PROFILE,
     AttackRecoveryConfig,
@@ -326,6 +329,10 @@ def test_criterion_9_csv_determinism(tmp_path):
                 "--trials", "200"],
     }
     workers = {"ber": ("1", "3"), "ser": ("1", "2"), "rec": ("1", "2")}
+    # the CLI runs the package this process imported, installed or not
+    src = str(Path(permofdm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
     mismatches = []
     for tag, argv in runs.items():
         outs = []
@@ -334,7 +341,7 @@ def test_criterion_9_csv_determinism(tmp_path):
             cmd = base + argv + ["--out", str(out)]
             if w is not None:
                 cmd += ["--workers", w]
-            res = subprocess.run(cmd, capture_output=True, text=True)
+            res = subprocess.run(cmd, capture_output=True, text=True, env=env)
             assert res.returncode == 0, f"{tag}: {res.stderr}"
             outs.append(out.read_bytes())
         if outs[0] != outs[1]:

@@ -41,6 +41,11 @@ class TestProfile:
         with pytest.raises(ShapeError):
             ChannelProfile(delays=np.array([0, 1]), mean_powers=np.array([0.5, -0.1]))
 
+    @pytest.mark.parametrize("powers", [[np.nan], [np.inf], [0.5, np.nan], [1e308, 1e308]])
+    def test_non_finite_powers_rejected(self, powers):
+        with pytest.raises(ShapeError, match="finite sum"):
+            ChannelProfile(delays=np.arange(len(powers)), mean_powers=np.array(powers))
+
     def test_bad_file_line(self, tmp_path):
         f = tmp_path / "p.txt"
         f.write_text("0 0.5 extra\n")

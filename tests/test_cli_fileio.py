@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from permofdm import (
     AttackRecoveryConfig,
@@ -491,6 +491,17 @@ class TestSimulationCommands:
         assert len(err) == 1 and err[0].startswith("error:") and "finite" in err[0]
         assert not out.exists()
 
+    def test_warning_is_one_line(self, tmp_path, capsys):
+        shown = warnings.showwarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("default", UserWarning)
+            rc = main(["simulate-ber", "--seed", "1", "--n", "16", "--n-cp", "2", "--blocks", "1",
+                       "--out", str(tmp_path / "x.csv")])
+        assert rc == 0
+        assert capsys.readouterr().err == ("warning: channel memory 11 exceeds cyclic prefix 2; "
+                                           "inter-block interference will leak\n")
+        assert warnings.showwarning is shown
+
     def test_bad_n_cp_fails_before_any_warning(self, tmp_path, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -667,3 +678,135 @@ def test_flag_beats_config_file(case, file_value, flag_value):
         argv = [cmd, "--config", str(conf)]
         assert read(_resolved_config(argv)) == file_value
         assert read(_resolved_config(argv + [flag, str(flag_value)])) == flag_value
+
+
+# ---------------------------------------------------------------------------
+# every subcommand, fuzzed over its flag grammar
+# ---------------------------------------------------------------------------
+
+# Malformed or out-of-range values; none is so large that a run would be long.
+_JUNK = st.sampled_from(["", "x", "1.5", "-1", "0", "nan", "inf", "-inf", "1e400"])
+
+
+def _or_junk(values):
+    """values, and about one draw in ten a malformed or out-of-range one."""
+    return st.integers(0, 9).flatmap(lambda r: _JUNK if r == 9 else values)
+
+
+def _ints(lo, hi):
+    return _or_junk(st.integers(lo, hi).map(str))
+
+
+def _reals(lo=-1e3, hi=1e3):
+    return _or_junk(st.floats(lo, hi).map(str))
+
+
+def _path(name):
+    """The input file `name`, or now and then another file, a missing one or a directory."""
+    return _or_junk(st.integers(0, 4).flatmap(
+        lambda r: st.sampled_from(["key", "in.iq", "profile", "conf", "missing", "."])
+        if r == 4 else st.just(name)))
+
+
+def _list(values):
+    return _or_junk(st.lists(values, min_size=1, max_size=3).map(", ".join))
+
+
+_N = _or_junk(st.sampled_from(["4", "8", "16", "32", "64"]))
+_M = _or_junk(st.sampled_from(["4", "16", "64"]))
+_SEED = {"--seed": _ints(0, 2 ** 64)}  # 2**64 is out of range
+_SIMULATE = {"--config": _path("conf"), "--out": _path("out"),
+             "--workers": _or_junk(st.sampled_from(["1", "2"]))}
+_ANALYZE = {k: v for k, v in _SIMULATE.items() if k != "--workers"}  # these run in-process
+# command -> (flags always given, so that sizes stay bounded; optional flags,
+# None for a switch).  The flag "" is the positional input file.
+_GRAMMAR = {
+    "keygen": ({"--out": _path("out")}, {"--bytes": _ints(16, 64), **_SEED, "--raw": None}),
+    "encrypt": ({"": _path("in.iq"), "--n": _N, "--l": _ints(1, 4), "--out": _path("out"),
+                 "--key": _path("key")}, {"--ell": _ints(0, 2 ** 64)}),
+    "simulate-ber": ({**_SEED, "--n": _N, "--blocks": _ints(1, 4), "--l-depth": _ints(1, 4)},
+                     {**_SIMULATE, "--m": _M, "--n-cp": _ints(0, 64),
+                      "--interleaver": _or_junk(st.sampled_from(["none", "transpose", "keyed"])),
+                      "--equalizer": _or_junk(st.sampled_from(["zf", "mmse"])),
+                      "--zf-floor": _reals(1e-300, 1e3), "--discard-below": _reals(1e-300, 1e3),
+                      "--fade-bias": _reals(1e-300, 1e3), "--snr-db": _list(_reals()),
+                      "--min-blocks": _ints(0, 4), "--min-errors": _ints(0, 300),
+                      "--max-bits": _reals(1e-300, 1e300),
+                      "--channel": _or_junk(st.sampled_from(["rayleigh", "awgn"])),
+                      "--profile": _path("profile"), "--key": _path("key")}),
+    "simulate-attack-ser": ({**_SEED, "--n": _N, "--trials": _ints(1, 4),
+                             "--k-values": _list(_ints(0, 4))},
+                            {**_SIMULATE, "--m-values": _list(_M), "--snr-db": _reals()}),
+    "simulate-attack-recovery": ({**_SEED, "--size": _ints(2, 64), "--repeats": _ints(1, 4),
+                                  "--trials": _ints(1, 4)},
+                                 {**_SIMULATE, "--snr-db": _reals(), "--fresh-perm": None,
+                                  "--key": _path("key")}),
+    "analyze-snr": ({**_SEED, "--n": _ints(1, 64), "--blocks": _ints(1, 4)},
+                    {**_ANALYZE, "--m": _M, "--snr-db": _list(_reals()),
+                     "--profile": _path("profile"), "--zf-floor": _reals(1e-300, 1e3)}),
+    "measure-ici": ({**_SEED, "--n": _ints(1, 64), "--trials": _ints(1, 4)},
+                    {**_ANALYZE, "--m": _M, "--key": _path("key"), "--ell": _ints(0, 2 ** 64),
+                     "--perm": _or_junk(st.sampled_from(
+                         ["identity", "reversal", "random", "transpose", "keyed"]))}),
+}
+_GRAMMAR["decrypt"] = _GRAMMAR["encrypt"]
+
+
+@st.composite
+def _argv(draw):
+    cmd = draw(st.sampled_from(sorted(_GRAMMAR)))
+    always, optional = _GRAMMAR[cmd]
+    argv = [cmd]
+    for flag in [*always, *draw(st.lists(st.sampled_from(sorted(optional)), unique=True))]:
+        values = always.get(flag, optional.get(flag))
+        if values is None:
+            argv.append(flag)
+        else:
+            argv += [flag, draw(values)] if flag else [draw(values)]
+    return argv
+
+
+_FILES = st.fixed_dictionaries({
+    "key": st.one_of(st.binary(min_size=16, max_size=64),
+                     st.binary(min_size=16, max_size=64).map(lambda raw: raw.hex().encode()),
+                     st.binary(max_size=64)),
+    "in.iq": st.one_of(st.sampled_from([4, 16, 64, 256]).flatmap(
+        lambda k: st.binary(min_size=8 * k, max_size=8 * k)), st.binary(max_size=20)),
+    "profile": st.sampled_from([
+        PROFILE_FILE.read_text(), "0 1.0", "0 0.5\n3 0.5", "0 0.5\n40 0.5", "0 nan", "0 inf",
+        "0 1e308\n1 1e308", "0 0", "1 1", "0 1\n1 -1", "0 1 2", "x y", ""]).map(str.encode),
+    "conf": st.lists(st.sampled_from([
+        "seed = 3", "n-cp = 2", "snr_db = 5, 10", "l_depth = 2", "k = 3", "fresh_perm = yes",
+        "perm = keyed", "interleaver = keyed", "m = 16", "workers = 2", "# comment",
+        "blocsk = 5", "fresh_perm = maybe", "snr_db = nan", "no equals sign"]),
+        max_size=3).map(lambda lines: "\n".join(lines).encode()),
+})
+
+
+_BLANK = {"key": b"", "in.iq": b"", "profile": b"", "conf": b""}
+_BER = ["simulate-ber", "--seed", "0", "--n", "16", "--blocks", "1", "--l-depth", "1"]
+
+
+@settings(max_examples=800, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argv(), files=_FILES)
+# finds: --bytes past the C size type raised OverflowError, and a profile
+# with a NaN power (or a sum that overflows) ran a NaN channel
+@example(argv=["keygen", "--out", "out", "--bytes", str(2 ** 64)], files=_BLANK)
+@example(argv=[*_BER, "--profile", "profile"], files={**_BLANK, "profile": b"0 nan"})
+@example(argv=[*_BER, "--profile", "profile"], files={**_BLANK, "profile": b"0 1e308\n1 1e308"})
+def test_every_command_exits_cleanly(tmp_path, monkeypatch, capsys, argv, files):
+    """Exit 0, or exit 2 with an `error:` last line; never a traceback."""
+    monkeypatch.chdir(tmp_path)
+    for name, content in files.items():
+        (tmp_path / name).write_bytes(content)
+    with warnings.catch_warnings():
+        # a UserWarning is printed as a line; a RuntimeWarning still fails the run
+        warnings.simplefilter("default", UserWarning)
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse usage errors
+            code = e.code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert code == 0 or (code == 2 and "error:" in err.strip().split("\n")[-1]), (code, err)

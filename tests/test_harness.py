@@ -23,10 +23,11 @@ from permofdm import (
     analyze_snr,
     derive_permutation,
     draw_rayleigh_channel,
+    encrypt_block,
     freq_response,
     ici_alpha_exact,
     measure_ici,
-    mix_samples,
+    mixing_map,
     qfunc,
     run_attack_recovery_experiment,
     run_ber_experiment,
@@ -70,6 +71,21 @@ class TestCsvFormat:
         assert wald_halfwidth(5, 0) == 0.0
 
 
+def mix_samples(x, k, rng):
+    """One symbol's disorder, applied through the cipher's gather."""
+    return encrypt_block(x, Permutation(mixing_map(x.size, k, rng)))
+
+
+def _setdiff1d_mix(x, k, rng):
+    """The disorder as first written: the survivors found with np.setdiff1d,
+    then the removed samples in random order."""
+    if k == 0:
+        return x
+    pos = rng.choice(x.size, size=k, replace=False)
+    keep = np.setdiff1d(np.arange(x.size), pos)
+    return np.concatenate([x[keep], x[pos][rng.permutation(k)]])
+
+
 class TestMixSamples:
     def test_zero_is_identity(self):
         rng = np.random.default_rng(0)
@@ -111,6 +127,27 @@ class TestMixSamples:
             first[int(mix_samples(x, n, rng)[0].real)] += 1
         # each value lands first with probability ~1/6
         assert np.all(np.abs(first / trials - 1 / n) < 0.03)
+
+    @settings(max_examples=200, deadline=None)
+    @given(nk=st.integers(1, 300).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
+           seed=st.integers(0, 2 ** 64 - 1))
+    def test_map_equals_the_setdiff1d_form(self, nk, seed):
+        n, k = nk
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert np.array_equal(mixing_map(n, k, rng), _setdiff1d_mix(np.arange(n), k, ref))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_one_cipher_call_per_chunk(self, monkeypatch):
+        calls = []
+
+        def counting(x, p, fn=harness.encrypt_block):
+            calls.append(x.shape)
+            return fn(x, p)
+        monkeypatch.setattr(harness, "encrypt_block", counting)
+        cfg = SerAttackConfig(seed=24, n=16, m_values=(4, 16), k_values=(0, 5), trials=70)
+        run_ser_attack_experiment(cfg)
+        # 4 points of 70 symbols, in chunks of 32, 32 and 6
+        assert calls == [(32, 16), (32, 16), (6, 16)] * 4
 
 
 class TestChainStages:
@@ -545,9 +582,15 @@ class TestAttackRecoveryExperiment:
          "attack-recovery,2,0,fresh,none,-5,30,10,0,0,4,0.4,0.303642"),
         (dict(seed=37, size=64, snr_db=0.0, repeats=200, trials=3),
          "attack-recovery,64,0,fixed,none,0,200,192,0,0,19,0.0989583,0.0422381"),
+        # one observation per trial, captured when fixed and fresh maps took
+        # separate branches
+        (dict(seed=40, size=16, snr_db=5.0, repeats=1, trials=5),
+         "attack-recovery,16,0,fixed,none,5,1,80,0,0,50,0.625,0.106088"),
+        (dict(seed=41, size=16, snr_db=5.0, repeats=1, trials=5, fresh_perm_per_block=True),
+         "attack-recovery,16,0,fresh,none,5,1,80,0,0,54,0.675,0.102637"),
     ]
 
-    @pytest.mark.parametrize("workers", (1, 2))
+    @pytest.mark.parametrize("workers", (1, 2, 3))
     def test_csv_matches_golden_rows(self, workers):
         for kwargs, row in self.GOLDEN:
             cfg = AttackRecoveryConfig(**kwargs)

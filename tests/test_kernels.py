@@ -291,29 +291,24 @@ class TestGreedyAssign:
 
 
 class TestBruteForceScan:
-    def _cands(self, size):
-        import itertools
-        return np.array(list(itertools.permutations(range(size))), dtype=np.int64)
+    """brute_force_attack scores every candidate map in one encrypt_block call."""
 
     def test_finds_true_permutation(self):
+        import itertools
         rng = np.random.default_rng(4)
         x = rng.normal(size=5) + 1j * rng.normal(size=5)
-        cands = self._cands(5)
-        true = cands[77]
+        true = np.array(list(itertools.permutations(range(5)))[77])
         y = x[true]
-        idx, resid = attack.brute_force_scan(cands, x, y)
-        assert idx == 77
-        assert resid < 1e-20
+        got = attack.brute_force_attack(x, y)
+        assert np.array_equal(got.map, true)
+        assert (np.abs(y - permcipher.encrypt_block(x, got)) ** 2).sum() < 1e-20
 
     def test_ties_resolve_to_lexicographically_smallest(self):
         # duplicate samples: swapping them changes nothing, identity wins
         x = np.array([1.0 + 0j, 1.0 + 0j, 2.0 + 0j])
-        y = x.copy()
-        cands = self._cands(3)
-        idx, resid = attack.brute_force_scan(cands, x, y)
-        assert resid == 0.0
-        assert np.array_equal(cands[idx], np.array([0, 1, 2]))
-
+        got = attack.brute_force_attack(x, x.copy())
+        assert np.array_equal(got.map, np.array([0, 1, 2]))
+        assert got.map.base is None or got.map.base.size == 3  # not a view of the candidates
 
 
 def _bits_equal(a, b):
