@@ -57,6 +57,7 @@ from .permcipher import (
     Permutation,
     SecretKey,
     decrypt_block,
+    derive_permutation,  # unused here; perfbench's tracer test reaches it through harness
     derive_permutations,
     encrypt_block,
     transpose_interleaver,
