@@ -49,6 +49,7 @@ from .harness import (
     BerExperimentConfig,
     CSV_HEADER,
     FIVE_TAP_PROFILE,
+    IciConfig,
     IciReport,
     PointResult,
     PointStop,
@@ -61,6 +62,7 @@ from .harness import (
     mixing_map,
     run_attack_recovery_experiment,
     run_ber_experiment,
+    run_ici_experiment,
     run_ser_attack_experiment,
     wald_halfwidth,
 )

@@ -7,11 +7,11 @@ profiles/paper_sec6.txt.
 """
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ShapeError, out_array
+from .fileio import read_text
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,15 +45,17 @@ class ChannelProfile:
     @classmethod
     def from_file(cls, path) -> "ChannelProfile":
         delays, powers = [], []
-        for raw in Path(path).read_text().splitlines():
+        for lineno, raw in enumerate(read_text(path).splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ShapeError(f"profile line not 'delay power': {raw!r}")
-            delays.append(int(parts[0]))
-            powers.append(float(parts[1]))
+            try:
+                delay, power = line.split()
+                delays.append(int(delay))
+                powers.append(float(power))
+            except ValueError:
+                raise ShapeError(
+                    f"{path}:{lineno}: profile line not 'delay power': {raw!r}") from None
         return cls(delays=np.array(delays), mean_powers=np.array(powers))
 
 

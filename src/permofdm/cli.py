@@ -17,13 +17,10 @@ import sys
 import types
 import typing
 import warnings
-from dataclasses import dataclass
-from typing import Literal, Optional
-
-import numpy as np
+from typing import Literal
 
 from .channel import ChannelProfile
-from .errors import IqFormatError, ShapeError
+from .errors import IqFormatError
 from .fileio import (
     parse_bool,
     parse_float_list,
@@ -37,23 +34,17 @@ from .fileio import (
 from .harness import (
     AttackRecoveryConfig,
     BerExperimentConfig,
+    IciConfig,
     SerAttackConfig,
     SnrAnalysisConfig,
     _check_seed,
     analyze_snr,
-    measure_ici,
     run_attack_recovery_experiment,
     run_ber_experiment,
+    run_ici_experiment,
     run_ser_attack_experiment,
 )
-from .permcipher import (
-    Permutation,
-    SecretKey,
-    decrypt_block,
-    derive_permutation,
-    encrypt_block,
-    transpose_interleaver,
-)
+from .permcipher import SecretKey, decrypt_block, derive_permutation, encrypt_block
 
 
 def _emit(text: str, out_path) -> None:
@@ -221,54 +212,9 @@ _EXPERIMENTS = (
     ("simulate-attack-recovery", "noise-averaging permutation recovery attack",
      AttackRecoveryConfig, run_attack_recovery_experiment),
     ("analyze-snr", "semi-analytic scrambled-ZF BER", SnrAnalysisConfig, analyze_snr),
+    ("measure-ici", "per-subcarrier attenuation/self-interference of a permutation",
+     IciConfig, run_ici_experiment),
 )
-
-
-_IciPerm = Literal["identity", "reversal", "random", "transpose", "keyed"]
-
-
-@dataclass(frozen=True)
-class _IciOptions:
-    seed: int
-    n: int = 256
-    m: int = 4
-    trials: int = 20000
-    perm: _IciPerm = "random"
-    key: Optional[str] = None  # key file path, read only for perm == "keyed"
-    ell: int = 0
-
-    def __post_init__(self):
-        _check_seed(self.seed)
-        if self.perm not in typing.get_args(_IciPerm):
-            raise ShapeError(f"unknown perm {self.perm!r}")
-
-
-def _cmd_measure_ici(args, parser):
-    o = _build(parser, _IciOptions, _resolve(args, _options(_IciOptions)))
-    if o.perm == "identity":
-        perm = Permutation.identity(o.n)
-    elif o.perm == "reversal":
-        perm = Permutation(map=np.arange(o.n, dtype=np.int64)[::-1])
-    elif o.perm == "random":
-        perm = Permutation(map=np.random.default_rng((o.seed, 0xFACE)).permutation(o.n))
-    elif o.perm == "transpose":
-        perm = transpose_interleaver(o.n)
-    else:  # keyed
-        if o.key is None:
-            parser.error("--perm keyed needs --key")
-        perm = derive_permutation(read_key_file(o.key), o.ell, o.n)
-    report = measure_ici(perm, o.trials, o.n, m=o.m, seed=o.seed)
-    lines = ["l,k,alpha_re,alpha_im,alpha_abs2,beta_power"]
-    a = report.alpha
-    b = report.beta_power
-    for l in range(a.shape[0]):
-        for k in range(a.shape[1]):
-            lines.append(
-                f"{l},{k},{a[l, k].real:.6g},{a[l, k].imag:.6g},"
-                f"{abs(a[l, k]) ** 2:.6g},{b[l, k]:.6g}"
-            )
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -304,11 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=functools.partial(_run_experiment, cls=cls, runner=runner),
                        parser=p)
 
-    p = sub.add_parser("measure-ici",
-                       help="per-subcarrier attenuation/self-interference of a permutation")
-    _add_options(p, _options(_IciOptions))
-    p.set_defaults(handler=_cmd_measure_ici, parser=p)
-
     return parser
 
 
@@ -318,8 +259,10 @@ def main(argv=None) -> int:
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
             return args.handler(args, args.parser)
-        except (OSError, ValueError) as e:  # the package's errors are ValueErrors
-            print(f"error: {e}", file=sys.stderr)
+        except (OSError, ValueError, MemoryError) as e:
+            # The package's errors are ValueErrors.  Sizes are not bounded when a
+            # config is built, so an array too large to allocate is a MemoryError.
+            print(f"error: {e or type(e).__name__}", file=sys.stderr)
             return 2
 
 

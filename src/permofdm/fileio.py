@@ -59,10 +59,18 @@ def read_key_file(path) -> SecretKey:
     return SecretKey.from_hex(raw.decode("ascii")) if _reads_as_hex(raw) else SecretKey(raw)
 
 
+def read_text(path) -> str:
+    """A text file's contents; bytes that do not decode are an error that names the file."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: not a text file: {e}") from None
+
+
 def read_config(path) -> dict:
     """Parse `key = value` lines; keys are lowercased, values raw strings."""
     out = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -57,7 +57,7 @@ from .permcipher import (
     Permutation,
     SecretKey,
     decrypt_block,
-    derive_permutation,  # unused here; perfbench's tracer test reaches it through harness
+    derive_permutation,
     derive_permutations,
     encrypt_block,
     transpose_interleaver,
@@ -76,6 +76,7 @@ FIVE_TAP_PROFILE = ChannelProfile(
 
 Interleaver = Literal["none", "transpose", "keyed"]
 ChannelModel = Literal["rayleigh", "awgn"]
+IciPerm = Literal["identity", "reversal", "random", "transpose", "keyed"]
 
 _SER_CHUNK = 32  # OFDM symbols per task; fixed so results never depend on workers
 # Framed samples per BER task at most: many small blocks share a task, and a
@@ -142,10 +143,6 @@ class TrialReport:
 
     def to_csv(self) -> str:
         return "\n".join([CSV_HEADER] + [p.csv_row() for p in self.points]) + "\n"
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="\n") as f:
-            f.write(self.to_csv())
 
 
 def _fmt(v) -> str:
@@ -660,7 +657,8 @@ class SnrAnalysisConfig:
 def analyze_snr(cfg: SnrAnalysisConfig) -> TrialReport:
     """Semi-analytic scrambled-ZF BER: the channel ensemble is seeded the
     same way as run_ber_experiment blocks, so a Monte-Carlo run with the
-    same seed sees the same realizations."""
+    same seed sees the same realizations.  Its rows skip
+    PointResult.from_counts, because the BER is a closed form, not a count."""
     rows = []
     for pi, snr_db in enumerate(cfg.snr_db):
         snr = NoiseSpec.from_snr_db(snr_db).snr
@@ -702,6 +700,13 @@ class IciReport:
     def n(self) -> int:
         return int(self.alpha.shape[-1])
 
+    def to_csv(self) -> str:
+        lines = ["l,k,alpha_re,alpha_im,alpha_abs2,beta_power"]
+        for (l, k), a in np.ndenumerate(self.alpha):
+            cells = (a.real, a.imag, abs(a) ** 2, self.beta_power[l, k])
+            lines.append(",".join([str(l), str(k), *map(_fmt, cells)]))
+        return "\n".join(lines) + "\n"
+
 
 def measure_ici(perm: Permutation, trials: int, n: int, m: int = 4,
                 seed: int = 0) -> IciReport:
@@ -738,6 +743,44 @@ def measure_ici(perm: Permutation, trials: int, n: int, m: int = 4,
         + np.abs(alpha) ** 2 * acc_dd / trials
     )
     return IciReport(alpha=alpha, beta_power=beta_power, trials=trials)
+
+
+@dataclass(frozen=True)
+class IciConfig:
+    """The map measured: a fixed one, one drawn from the seed, the n x n
+    transpose interleaver (n^2 samples), or the keyed map of counter ell."""
+
+    seed: int
+    n: int = 256
+    m: int = 4
+    trials: int = 20000
+    perm: IciPerm = "random"
+    key: Optional[SecretKey] = None  # needed by, and only by, perm "keyed"
+    ell: int = 0
+
+    def __post_init__(self):
+        _check_seed(self.seed)
+        if self.perm not in get_args(IciPerm):
+            raise ShapeError(f"unknown perm {self.perm!r}")
+        if self.n < 1 or self.trials < 1:
+            raise ShapeError(f"n and trials must be >= 1, got {self.n} and {self.trials}")
+        QamConstellation.square(self.m)
+        if self.perm == "keyed" and self.key is None:
+            raise ShapeError("perm 'keyed' needs a key")
+
+
+def run_ici_experiment(cfg: IciConfig) -> IciReport:
+    if cfg.perm == "identity":
+        perm = Permutation.identity(cfg.n)
+    elif cfg.perm == "reversal":
+        perm = Permutation(map=np.arange(cfg.n, dtype=np.int64)[::-1])
+    elif cfg.perm == "random":
+        perm = Permutation(map=np.random.default_rng((cfg.seed, 0xFACE)).permutation(cfg.n))
+    elif cfg.perm == "transpose":
+        perm = transpose_interleaver(cfg.n)
+    else:
+        perm = derive_permutation(cfg.key, cfg.ell, cfg.n)
+    return measure_ici(perm, cfg.trials, cfg.n, m=cfg.m, seed=cfg.seed)
 
 
 def ici_alpha_exact(perm: Permutation, n: int) -> np.ndarray:

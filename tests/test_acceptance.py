@@ -158,6 +158,11 @@ def test_criterion_4_noise_variance_prediction():
     kind = EqualizerKind()
     worst_mean = worst_bin = 0.0
     samples = 0
+    # Every chunk reuses these: the real then the imaginary noise draws, the
+    # noise (equalized in place), and the de-interleaved symbols.
+    draws = np.empty((2, chunk_blocks * n, n))
+    z = np.empty((chunk_blocks * n, n), dtype=np.complex128)
+    dec = np.empty_like(z)
     for r in range(20):
         rng = np.random.default_rng((44, 0, r))
         taps = draw_rayleigh_channel(FIVE_TAP_PROFILE, rng)
@@ -168,14 +173,16 @@ def test_criterion_4_noise_variance_prediction():
         left = blocks_total
         while left:
             b = min(chunk_blocks, left)
-            z = np.sqrt(sigma_z2 / 2) * (
-                rng.standard_normal((b * n, n))
-                + 1j * rng.standard_normal((b * n, n)))
-            eq = equalize(z, h, kind)
+            re, im, zb, db = draws[0, :b * n], draws[1, :b * n], z[:b * n], dec[:b * n]
+            rng.standard_normal(out=re)
+            rng.standard_normal(out=im)
+            np.multiply(re, np.sqrt(sigma_z2 / 2), out=zb.real)
+            np.multiply(im, np.sqrt(sigma_z2 / 2), out=zb.imag)
+            eq = equalize(zb, h, kind, out=zb)
             # buffered interleaving: output symbol l collects sample l of
             # every input symbol, so decryption transposes each n-x-n grid
-            dec = np.transpose(eq.reshape(b, n, n), (0, 2, 1)).reshape(b * n, n)
-            acc += np.sum(np.abs(fft_demodulate(dec)) ** 2, axis=0)
+            np.copyto(db.reshape(b, n, n), np.transpose(eq.reshape(b, n, n), (0, 2, 1)))
+            acc += np.sum(np.abs(fft_demodulate(db, out=db)) ** 2, axis=0)
             rows += b * n
             left -= b
         var_k = acc / rows

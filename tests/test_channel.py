@@ -52,6 +52,20 @@ class TestProfile:
         with pytest.raises(ShapeError):
             ChannelProfile.from_file(f)
 
+    @pytest.mark.parametrize("content, message", [
+        (bytes(range(128, 256)), "not a text file"),
+        (b"0 0.5\n0 0.5 extra\n", "2: profile line not 'delay power'"),
+        (b"# taps\n0.5 1\n", "2: profile line not 'delay power'"),
+        (b"0 oops\n", "1: profile line not 'delay power'"),
+    ], ids=["binary", "three-fields", "float-delay", "word-power"])
+    def test_bad_file_names_the_file(self, tmp_path, content, message):
+        f = tmp_path / "p.txt"
+        f.write_bytes(content)
+        with pytest.raises(ValueError) as exc:
+            ChannelProfile.from_file(f)
+        assert str(exc.value).startswith(f"{f}:")
+        assert message in str(exc.value)
+
 
 class TestDelaySpread:
     def test_examples(self):

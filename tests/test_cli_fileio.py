@@ -2,6 +2,11 @@
 
 import argparse
 import dataclasses
+import hashlib
+import inspect
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -15,6 +20,7 @@ from permofdm import (
     BerExperimentConfig,
     ChannelProfile,
     EqualizerKind,
+    IciConfig,
     IqFormatError,
     KeyFormatError,
     SecretKey,
@@ -23,8 +29,10 @@ from permofdm import (
     analyze_snr,
     run_attack_recovery_experiment,
     run_ber_experiment,
+    run_ici_experiment,
     run_ser_attack_experiment,
 )
+import permofdm
 from permofdm import cli
 from permofdm.cli import main
 from permofdm.fileio import (
@@ -188,6 +196,13 @@ class TestConfigFiles:
         p.write_text("just words\n")
         with pytest.raises(ValueError, match="key = value"):
             read_config(p)
+
+    def test_binary_file_names_the_file(self, tmp_path):
+        p = tmp_path / "bin.conf"
+        p.write_bytes(bytes(range(128, 256)))
+        with pytest.raises(ValueError) as exc:
+            read_config(p)
+        assert str(exc.value).startswith(f"{p}: not a text file")
 
     def test_value_lists_and_bools(self):
         assert parse_float_list("0, 4.5 ,8") == (0.0, 4.5, 8.0)
@@ -441,22 +456,44 @@ class TestSimulationCommands:
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert not out.exists()
 
-    def test_measure_ici_keyed_needs_key(self):
-        with pytest.raises(SystemExit):
-            main(["measure-ici", "--seed", "0", "--n", "8", "--perm", "keyed"])
+    def test_measure_ici_keyed_without_key_is_one_error_line(self, tmp_path, capsys):
+        out = tmp_path / "ici.csv"
+        rc = main(["measure-ici", "--seed", "0", "--n", "8", "--perm", "keyed",
+                   "--out", str(out)])
+        assert rc == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error:") and "key" in line
+        assert not out.exists()
 
-    @pytest.mark.parametrize("argv, message", [
-        (["measure-ici", "--seed", "0", "--n", "8", "--perm", "keyed"],
-         "--perm keyed needs --key"),
-        (["simulate-ber", "--n", "16"], "--seed is required"),
+    def test_measure_ici_reads_the_key_whatever_the_perm(self, tmp_path, capsys):
+        key = tmp_path / "k.key"
+        key.write_bytes(b"")
+        out = tmp_path / "ici.csv"
+        rc = main(["measure-ici", "--seed", "0", "--n", "8", "--perm", "random",
+                   "--key", str(key), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {key}: empty key file"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("perm, digest", [
+        ("identity", "838a81e0be90dd22"), ("reversal", "e5f3373a373bbbf8"),
+        ("random", "59696e3f9a64bf30"), ("transpose", "08c94ea33a647349"),
+        ("keyed", "44c048a27bff676d"),
     ])
-    def test_usage_error_after_parsing_names_the_subcommand(self, capsys, argv, message):
+    def test_measure_ici_csv_bytes_are_pinned(self, tmp_path, perm, digest):
+        key, out = str(tmp_path / "k.key"), tmp_path / "ici.csv"
+        assert main(["keygen", "--out", key, "--seed", "11"]) == 0
+        assert main(["measure-ici", "--seed", "5", "--n", "16", "--m", "16", "--trials", "64",
+                     "--ell", "3", "--key", key, "--perm", perm, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == digest
+
+    def test_usage_error_after_parsing_names_the_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(argv)
+            main(["simulate-ber", "--n", "16"])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"usage: permofdm {argv[0]} ")
-        assert err.splitlines()[-1].startswith(f"permofdm {argv[0]}: error: {message}")
+        assert err.startswith("usage: permofdm simulate-ber ")
+        assert err.splitlines()[-1].startswith("permofdm simulate-ber: error: --seed is required")
 
     def test_invalid_flag_value(self):
         with pytest.raises(SystemExit):
@@ -614,6 +651,13 @@ DERIVED = {
                                       profile=ChannelProfile.from_file(PROFILE_FILE),
                                       zf_floor=1e-3),
     ),
+    "measure-ici": (
+        IciConfig, run_ici_experiment,
+        lambda key: ["--seed", "9", "--n", "16", "--m", "16", "--trials", "64",
+                     "--perm", "keyed", "--key", key, "--ell", "3"],
+        lambda key: IciConfig(seed=9, n=16, m=16, trials=64, perm="keyed",
+                              key=read_key_file(key), ell=3),
+    ),
 }
 
 
@@ -637,7 +681,7 @@ class TestDerivedCommands:
         cls, runner, _, _ = DERIVED[cmd]
         flags = [opt for a in _subparser(cmd)._actions for opt in a.option_strings]
         expected = ["-h", "--help", "--config", *_field_flags(cls), "--out"]
-        if runner is not analyze_snr:
+        if "workers" in inspect.signature(runner).parameters:
             expected.insert(-1, "--workers")
         assert sorted(flags) == sorted(expected)
 
@@ -664,6 +708,7 @@ PRECEDENCE_CASES = [
     ("simulate-attack-ser", "trials", "--trials", lambda c: c.trials),
     ("simulate-attack-recovery", "k", "--repeats", lambda c: c.repeats),
     ("analyze-snr", "seed", "--seed", lambda c: c.seed),
+    ("measure-ici", "ell", "--ell", lambda c: c.ell),
 ]
 
 
@@ -795,6 +840,9 @@ _BER = ["simulate-ber", "--seed", "0", "--n", "16", "--blocks", "1", "--l-depth"
 @example(argv=["keygen", "--out", "out", "--bytes", str(2 ** 64)], files=_BLANK)
 @example(argv=[*_BER, "--profile", "profile"], files={**_BLANK, "profile": b"0 nan"})
 @example(argv=[*_BER, "--profile", "profile"], files={**_BLANK, "profile": b"0 1e308\n1 1e308"})
+# finds: a config or profile file that is not text gave an error line without its path
+@example(argv=[*_BER, "--config", "conf"], files={**_BLANK, "conf": bytes(range(128, 256))})
+@example(argv=[*_BER, "--profile", "profile"], files={**_BLANK, "profile": bytes(range(128, 256))})
 def test_every_command_exits_cleanly(tmp_path, monkeypatch, capsys, argv, files):
     """Exit 0, or exit 2 with an `error:` last line; never a traceback."""
     monkeypatch.chdir(tmp_path)
@@ -810,3 +858,26 @@ def test_every_command_exits_cleanly(tmp_path, monkeypatch, capsys, argv, files)
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert code == 0 or (code == 2 and "error:" in err.strip().split("\n")[-1]), (code, err)
+
+
+# Under this address-space limit (the one the faults were found at) each
+# run asks numpy for terabytes at once, whatever the machine's overcommit policy.
+_LIMITED_MAIN = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (4096000000,) * 2); "
+                 "from permofdm.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate-attack-recovery", "--seed", "1", "--repeats", str(10 ** 10), "--trials", "1"],
+    ["measure-ici", "--seed", "0", "--n", str(2 ** 20), "--perm", "transpose", "--trials", "1"],
+], ids=["attack-recovery", "measure-ici"])
+def test_allocation_failure_is_one_error_line(tmp_path, argv):
+    src = str(Path(permofdm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = tmp_path / "x.csv"
+    res = subprocess.run([sys.executable, "-c", _LIMITED_MAIN, *argv, "--out", str(out)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert res.returncode == 2, res.stderr
+    (line,) = res.stderr.splitlines()
+    assert line.startswith("error: Unable to allocate")
+    assert not out.exists()

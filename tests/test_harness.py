@@ -54,16 +54,13 @@ class TestCsvFormat:
         assert row.csv_row() == ("ber,256,4,transpose,zf,10,0,17,1234,"
                                  "0.00123457,600,0.0123457,0.000123456")
 
-    def test_report_round_trip(self, tmp_path):
+    def test_report_round_trip(self):
         cfg = SerAttackConfig(seed=3, n=16, m_values=(4,), k_values=(0,),
                               trials=8)
         rep = run_ser_attack_experiment(cfg)
         text = rep.to_csv()
         assert text.startswith(CSV_HEADER + "\n")
         assert text.endswith("\n")
-        path = tmp_path / "out.csv"
-        rep.write_csv(path)
-        assert path.read_bytes().decode() == text
 
     def test_wald_halfwidth(self):
         assert wald_halfwidth(0, 100) == 0.0
