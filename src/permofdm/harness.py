@@ -767,6 +767,8 @@ class IciConfig:
         QamConstellation.square(self.m)
         if self.perm == "keyed" and self.key is None:
             raise ShapeError("perm 'keyed' needs a key")
+        if not 0 <= self.ell < 2 ** 64:
+            raise ShapeError(f"ell must fit in an unsigned 64-bit counter, got {self.ell}")
 
 
 def run_ici_experiment(cfg: IciConfig) -> IciReport:

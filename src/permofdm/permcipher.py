@@ -160,41 +160,82 @@ def fisher_yates(stream, size):
     """(perm, bytes read, ok): the key schedule's shuffle run on one byte stream.
 
     ok is False when the stream ran out; perm then holds the swaps drawn so
-    far.  Every i in one byte-width band reads words of the same width, so
-    the rest of the stream is split into words once per band and the draws
-    scan a Python sequence instead of indexing numpy bytes one at a time.
+    far.  Every i in one byte-width band reads words of the same width from
+    the band's unread bytes: the 1-byte band indexes them as bytes, and a
+    wider band lists its words a short window at a time (see _draw_words),
+    so its cost follows the words read, not the length of the stream.
     """
     perm = list(range(size))
     pos = 0
     top = max(size - 1, 0).bit_length()
-    while top:
+    ok = True
+    while top and ok:
         nbytes = (top + 7) >> 3
         floor = 8 * nbytes - 8
-        words = _words(stream, pos, nbytes)
-        k = 0
-        try:
-            for nbits in range(top, floor, -1):
-                mask = (1 << nbits) - 1
-                for i in range(min(mask, size - 1), mask >> 1, -1):
-                    v = words[k] & mask
-                    k += 1
-                    while v > i:
-                        v = words[k] & mask
-                        k += 1
-                    perm[i], perm[v] = perm[v], perm[i]
-        except IndexError:
-            return np.array(perm, dtype=np.int64), pos + k * nbytes, False
+        draw = _draw_bytes if nbytes == 1 else _draw_words
+        k, ok = draw(perm, _words(stream, pos, nbytes), top, floor)
         pos += k * nbytes
         top = floor
-    return np.array(perm, dtype=np.int64), pos, True
+    return np.fromiter(perm, np.int64, count=size), pos, ok
 
 
 def _words(stream, pos, nbytes):
-    """Unread bytes as big-endian nbytes-wide ints; a partial tail is dropped."""
+    """Unread bytes as big-endian nbytes-wide ints; a partial tail is dropped.
+
+    One-byte words are bytes, whose items are ints; wider ones stay a numpy
+    array, which _draw_words lists a window at a time.
+    """
     if nbytes == 1:
-        return stream[pos:].tobytes()  # indexing bytes yields ints directly
+        return stream[pos:].tobytes()
     k = (stream.shape[0] - pos) // nbytes
-    return _join_bytes(stream[pos:pos + k * nbytes].reshape(k, nbytes)).tolist()
+    return _join_bytes(stream[pos:pos + k * nbytes].reshape(k, nbytes))
+
+
+def _draw_bytes(perm, words, top, floor):
+    """(words read, ok): the draws for i in [2**floor, 2**top), one word each try."""
+    k = 0
+    try:
+        for nbits in range(top, floor, -1):
+            mask = (1 << nbits) - 1
+            for i in range(min(mask, len(perm) - 1), mask >> 1, -1):
+                v = words[k] & mask
+                k += 1
+                while v > i:
+                    v = words[k] & mask
+                    k += 1
+                perm[i], perm[v] = perm[v], perm[i]
+    except IndexError:
+        return k, False
+    return k, True
+
+
+def _draw_words(perm, words, top, floor):
+    """_draw_bytes on a numpy array of words, listed a window at a time.
+
+    A window is masked to the bit width of the draws that read it and holds
+    2 words per draw left at that width plus 64, where rejection sampling
+    reads at most 2 on average; a draw that empties it lists the next one.
+    """
+    k = 0
+    for nbits in range(top, floor, -1):
+        mask = (1 << nbits) - 1
+        i, low = min(mask, len(perm) - 1), mask >> 1
+        while i > low:
+            window = (words[k:k + 2 * (i - low) + 64] & mask).tolist()
+            if not window:
+                return k, False
+            it = iter(window)
+            try:
+                for i in range(i, low, -1):
+                    v = next(it)
+                    while v > i:
+                        v = next(it)
+                    perm[i], perm[v] = perm[v], perm[i]
+                i = low
+            except StopIteration:  # draw i goes on in the next window
+                pass
+            k += len(window) - operator.length_hint(it)
+    return k, True
 
 
 def _join_bytes(groups):
@@ -290,8 +331,8 @@ def _band_words(streams, pos, nbytes, k):
 
 
 # Row count from which one fisher_yates_lockstep pass beats a fisher_yates
-# call per row; the two meet at 64-128 rows for sizes 64, 256 and 4096.
-LOCKSTEP_MIN_ROWS = 96
+# call per row; the two meet at 96-128 rows for sizes 64, 256 and 4096.
+LOCKSTEP_MIN_ROWS = 128
 
 
 def _shuffle_rows(streams, size):

@@ -475,6 +475,19 @@ class TestSimulationCommands:
         assert capsys.readouterr().err.splitlines() == [f"error: {key}: empty key file"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("ell", ["-1", str(2 ** 64)])
+    @pytest.mark.parametrize("perm", ["random", "keyed"])
+    def test_measure_ici_ell_out_of_range_is_one_error_line(self, tmp_path, capsys, perm, ell):
+        key, out = str(tmp_path / "k.key"), tmp_path / "ici.csv"
+        assert main(["keygen", "--out", key, "--seed", "11"]) == 0
+        capsys.readouterr()
+        rc = main(["measure-ici", "--seed", "1", "--n", "8", "--trials", "2", "--perm", perm,
+                   "--key", key, "--ell", ell, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: ell must fit in an unsigned 64-bit counter, got {ell}"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("perm, digest", [
         ("identity", "838a81e0be90dd22"), ("reversal", "e5f3373a373bbbf8"),
         ("random", "59696e3f9a64bf30"), ("transpose", "08c94ea33a647349"),

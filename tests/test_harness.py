@@ -12,6 +12,7 @@ from permofdm import (
     AttackRecoveryConfig,
     BerExperimentConfig,
     EqualizerKind,
+    IciConfig,
     NoiseSpec,
     Permutation,
     PointResult,
@@ -697,6 +698,14 @@ class TestIciMeasurement:
             measure_ici(Permutation.identity(8), trials=10, n=0)
         with pytest.raises(ShapeError):
             ici_alpha_exact(Permutation.identity(12), 6)
+
+    @pytest.mark.parametrize("perm", ["identity", "reversal", "random", "transpose", "keyed"])
+    def test_config_validation(self, perm):
+        # ell is checked whatever the perm, though only "keyed" reads it
+        for ell in (-1, 2 ** 64):
+            with pytest.raises(ShapeError, match="must fit in an unsigned 64-bit counter"):
+                IciConfig(seed=0, perm=perm, key=KEY, ell=ell)
+        IciConfig(seed=0, perm=perm, key=KEY, ell=2 ** 64 - 1)
 
 
 class TestChainBuffers:

@@ -187,12 +187,29 @@ class TestFisherYates:
            fill=st.sampled_from((0.0, 0.5, 1.0, 1.2, 4.0)))
     @example(size=65537, seed=0, fill=0.0)  # runs out inside the 3-byte band
     @example(size=65537, seed=0, fill=4.0)
+    # size 4096 reads 2-byte words first: 9523 bytes run out inside that band,
+    # 31741 finish, and 2381 run out in its first bit width; all three
+    # lengths are odd, so the stream ends mid-word
+    @example(size=4096, seed=0, fill=1.2)
+    @example(size=4096, seed=0, fill=4.0)
+    @example(size=4096, seed=0, fill=0.3)
     def test_matches_reference_at_band_edges(self, size, seed, fill):
         # fill is the stream length in units of the rejection-free byte count;
         # below about 1.4 the stream usually runs out
         n = int(fill * _need(size)) + 1
         stream = np.random.default_rng(seed).integers(0, 256, n, dtype=np.uint8)
         _assert_matches_reference(stream, size)
+
+    @pytest.mark.parametrize("rejected", (1, 8317, 20000))
+    def test_matches_reference_after_long_rejection_runs(self, rejected):
+        # At size 4096, i = 4095 accepts a 0xffff word and every i below it
+        # rejects one, so a run of 0xff bytes stalls the draw for 4094 over
+        # more words than _draw_words lists at once (4158); the random bytes
+        # after the run let the shuffle finish
+        rng = np.random.default_rng(rejected)
+        stream = np.concatenate([np.full(2 + rejected, 0xFF, dtype=np.uint8),
+                                 rng.integers(0, 256, 40000, dtype=np.uint8)])
+        _assert_matches_reference(stream, 4096)
 
 
 def _assert_lockstep_matches_scalar(streams, size):
