@@ -332,7 +332,7 @@ def _band_words(streams, pos, nbytes, k):
 
 # Row count from which one fisher_yates_lockstep pass beats a fisher_yates
 # call per row; the two meet at 96-128 rows for sizes 64, 256 and 4096.
-LOCKSTEP_MIN_ROWS = 128
+LOCKSTEP_MIN_ROWS = 96
 
 
 def _shuffle_rows(streams, size):

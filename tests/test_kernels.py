@@ -202,10 +202,13 @@ class TestFisherYates:
 
     @pytest.mark.parametrize("rejected", (1, 8317, 20000))
     def test_matches_reference_after_long_rejection_runs(self, rejected):
-        # At size 4096, i = 4095 accepts a 0xffff word and every i below it
-        # rejects one, so a run of 0xff bytes stalls the draw for 4094 over
-        # more words than _draw_words lists at once (4158); the random bytes
-        # after the run let the shuffle finish
+        # At size 4096 the first window _draw_words lists holds 2 * 2048 + 64
+        # = 4160 words; i = 4095 accepts a 0xffff word and every i below it
+        # rejects one.  8317 0xff bytes fill that window with 0xffff words
+        # but its last, which the draw for 4094 accepts, so the window ends
+        # just after that draw; 20000 stall the draw for 4094 across two
+        # window ends; 1 is the control.  The random bytes after the run let
+        # the shuffle finish
         rng = np.random.default_rng(rejected)
         stream = np.concatenate([np.full(2 + rejected, 0xFF, dtype=np.uint8),
                                  rng.integers(0, 256, 40000, dtype=np.uint8)])
