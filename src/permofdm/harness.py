@@ -13,7 +13,7 @@ block or total-bit cap is hit.  The report records which of the three
 stopped each point, outside the CSV.
 
 A BER task is a chunk of consecutive blocks of one point, which runs
-through the link chain once as a stack, in two buffers that the thread
+through the link chain once as a stack, in three buffers that the thread
 reuses from chunk to chunk (_chain_buffers).  Every point of a run goes
 through one task stream (_BerStream): each chunk ends at the point's
 predicted stop, and a pool fills its window with the chunks the
@@ -27,7 +27,7 @@ import math
 import threading
 import warnings
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Literal, Optional, get_args
@@ -39,6 +39,7 @@ from .channel import (
     NoiseSpec,
     add_awgn,
     apply_channel_stream,
+    awgn_draws,
     draw_rayleigh_channel,
     freq_response,
 )
@@ -315,20 +316,43 @@ def _chunk_permutation(cfg: BerExperimentConfig, point_index: int, b0: int, b1: 
     return derive_permutations(key, range(base + b0, base + b1), size)
 
 
-# Per thread, the two framed buffers of the last chunk geometry; see _chain_buffers.
+# Per thread, the three buffers of the last chunk geometry; see _chain_buffers.
 _chain_cache = threading.local()
 
 
 def _chain_buffers(count: int, l_eff: int, framed: int):
-    """Two (count, l_eff, framed) complex128 buffers that the link chain
-    writes in turn, reused across this thread's chunks while l_eff and the
-    framed length stay and count fits.  Reusing them keeps a chunk from
-    taking fresh pages for every stage.  run_ber_experiment drops them."""
+    """Two (count, l_eff, framed) complex128 buffers that the signal stages
+    write in turn and a (count, 2, l_eff * framed) float64 one for the noise
+    draws, reused across this thread's chunks while l_eff and the framed
+    length stay and count fits, so a chunk takes no fresh pages for its
+    stages.  run_ber_experiment drops them."""
     cached = getattr(_chain_cache, "buffers", None)
     if cached is None or cached[0].shape[1:] != (l_eff, framed) or len(cached[0]) < count:
-        cached = tuple(np.empty((count, l_eff, framed), dtype=np.complex128) for _ in range(2))
+        cached = (*(np.empty((count, l_eff, framed), dtype=np.complex128) for _ in range(2)),
+                  np.empty((count, 2, l_eff * framed)))
         _chain_cache.buffers = cached
     return [buf[:count] for buf in cached]
+
+
+@contextmanager
+def _lane(threaded: bool, fn, *args):
+    """Yield a Future of fn(*args), run at once, or when threaded on a helper
+    thread that is joined before the block exits, whether or not it raised."""
+    future = Future()
+
+    def run():
+        try:
+            future.set_result(fn(*args))
+        except BaseException as exc:
+            future.set_exception(exc)
+
+    thread = threading.Thread(target=run)
+    thread.start() if threaded else run()
+    try:
+        yield future
+    finally:
+        if threaded:
+            thread.join()
 
 
 def _ber_chunk_entry(task):
@@ -336,16 +360,19 @@ def _ber_chunk_entry(task):
 
     Block b draws its channel taps, bits and noise, in that order, from
     default_rng((seed, point_index, b)); every stage then runs once on the
-    blocks stacked along a leading axis.  Each stage writes into whichever of
-    the two chain buffers its input is not in, so of the full-size arrays a
-    chunk allocates only the bits and the point indices.
+    blocks stacked along a leading axis.  The noise is drawn into the third
+    chain buffer first, or on a helper thread while the signal path runs when
+    the task's lane flag is set (_BerStream).  Each other stage writes into
+    whichever chain buffer its input is not in, so a chunk allocates only
+    the bits and the narrow point indices at full size.
     """
-    cfg, point_index, snr_db, b0, b1 = task
+    cfg, point_index, snr_db, b0, b1, lane = task
     rngs = [np.random.default_rng((cfg.seed, point_index, b)) for b in range(b0, b1)]
     count, n, n_cp, l_eff = b1 - b0, cfg.n, cfg.n_cp, cfg.symbols_per_block
     const = QamConstellation.square(cfg.m)
     k = const.bits_per_symbol
-    a, b = _chain_buffers(count, l_eff, n + n_cp)
+    perm = _chunk_permutation(cfg, point_index, b0, b1)  # built before the buffers fill
+    a, b, z = _chain_buffers(count, l_eff, n + n_cp)
 
     def spare(x, framed=False):
         """The chain buffer x is not in: framed, or its head as (count, l_eff, n)."""
@@ -358,18 +385,18 @@ def _ber_chunk_entry(task):
         taps = np.stack([draw_rayleigh_channel(cfg.profile, rng) for rng in rngs])
     h = freq_response(taps, n)
 
-    tx_idx, x = qam_symbols(
-        np.stack([rng.integers(0, 2, size=(l_eff, n, k), dtype=np.uint8) for rng in rngs]),
-        const, out=spare(b))
-    x = ifft_modulate(x, out=spare(x))
-    perm = _chunk_permutation(cfg, point_index, b0, b1)
-    if perm is not None:
-        x = encrypt_block(x, perm, out=spare(x))
-
+    bits = np.stack([rng.integers(0, 2, size=(l_eff, n, k), dtype=np.uint8) for rng in rngs])
     noise = NoiseSpec.from_snr_db(snr_db)
-    x = add_cp(x, n_cp, out=spare(x, framed=True)).reshape(count, -1)
-    x = apply_channel_stream(x, taps, out=spare(x, framed=True).reshape(count, -1))
-    x = add_awgn(x, noise, rngs, out=x)
+    with _lane(lane, awgn_draws, noise, rngs, z) as draws:
+        tx_idx, x = qam_symbols(bits, const, out=spare(b))
+        x = ifft_modulate(x, out=spare(x))
+        if perm is not None:
+            x = encrypt_block(x, perm, out=spare(x))
+        x = add_cp(x, n_cp, out=spare(x, framed=True)).reshape(count, -1)
+        x = apply_channel_stream(x, taps, out=spare(x, framed=True).reshape(count, -1))
+        z = draws.result()
+    x.real += z[:, 0]
+    x.imag += z[:, 1]
 
     x = remove_cp(x.reshape(count, l_eff, n + n_cp), n, n_cp)
     x = equalize(x, h[:, None, :], cfg.equalizer, snr=noise.snr, out=spare(x))
@@ -406,7 +433,10 @@ class _BerStream:
         self.min_blocks = cfg.min_blocks if cfg.min_blocks is not None else min(200, cfg.blocks)
         self.syms = cfg.symbols_per_block * cfg.n
         self.bits = self.syms * QamConstellation.square(cfg.m).bits_per_symbol
-        self.most = max(1, _CHUNK_SAMPLES // (cfg.symbols_per_block * (cfg.n + cfg.n_cp)))
+        block = cfg.symbols_per_block * (cfg.n + cfg.n_cp)
+        self.most = max(1, _CHUNK_SAMPLES // block)
+        # A serial block over the chunk budget draws its noise on the idle core.
+        self.lane = workers == 1 and block > _CHUNK_SAMPLES
         self.cap = min(cfg.blocks, math.ceil(cfg.max_bits / self.bits))
         self.points = [_PointTally(pi, float(snr_db)) for pi, snr_db in enumerate(cfg.snr_db)]
 
@@ -444,7 +474,7 @@ class _BerStream:
         while (chunk := self._next_chunk()) is not None:
             p, b1 = chunk
             b0, p.next_block = p.next_block, b1
-            yield self.cfg, p.index, p.snr_db, b0, b1
+            yield self.cfg, p.index, p.snr_db, b0, b1, self.lane
 
     def stopped(self, task) -> bool:
         return self.points[task[1]].reason is not None
@@ -452,7 +482,7 @@ class _BerStream:
     def fold(self, task, counts) -> None:
         """Take a chunk's blocks in order up to the stop; counts is None for
         a chunk cancelled before it started."""
-        cfg, p, (_, _, _, b0, b1) = self.cfg, self.points[task[1]], task
+        cfg, p, (b0, b1) = self.cfg, self.points[task[1]], task[3:5]
         if counts is None:
             p.cancelled += b1 - b0
             return

@@ -62,15 +62,16 @@ def qam_modulate(bits: np.ndarray, c: QamConstellation) -> np.ndarray:
         )
     if ((bits != 0) & (bits != 1)).any():
         raise ShapeError("bits must be 0 or 1")
-    return qam_symbols(bits.reshape(-1, c.bits_per_symbol).astype(np.int64), c)[1]
+    return qam_symbols(bits.reshape(-1, c.bits_per_symbol).astype(np.uint8), c)[1]
 
 
 def qam_symbols(bits: np.ndarray, c: QamConstellation, out=None):
     """0/1 bit groups on the last axis packed MSB first: (point indices, points).
 
-    out, when given, receives the points.
+    The indices are of the narrowest dtype that holds M - 1, uint8 up to
+    M = 256.  out, when given, receives the points.
     """
-    idx = bits[..., 0].astype(np.int64)
+    idx = bits[..., 0].astype(np.min_scalar_type(c.M - 1))
     for j in range(1, c.bits_per_symbol):
         idx <<= 1
         idx |= bits[..., j]
@@ -89,10 +90,10 @@ _DECISION_SLICE = 8192
 
 
 def qam_point_indices(symbols: np.ndarray, c: QamConstellation) -> np.ndarray:
-    """Index of the nearest point to each symbol; ShapeError if any is not finite."""
+    """Nearest point index per symbol, in qam_symbols' dtype; ShapeError if any is not finite."""
     sym = np.ascontiguousarray(np.asarray(symbols, dtype=np.complex128).reshape(-1))
     bpa = c.bits_per_symbol // 2
-    idx = np.empty(sym.size, dtype=np.int64)
+    idx = np.empty(sym.size, dtype=np.min_scalar_type(c.M - 1))
     for s in range(0, sym.size, _DECISION_SLICE):
         part = sym[s:s + _DECISION_SLICE]
         if not np.isfinite(part).all():

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import circulant
 
 from permofdm import (
@@ -21,6 +22,7 @@ from permofdm import (
     remove_cp,
     rms_delay_spread,
 )
+from permofdm.channel import _NOISE_SLICE, awgn_draws
 
 PROFILE_FILE = Path(__file__).resolve().parents[1] / "profiles" / "paper_sec6.txt"
 
@@ -264,6 +266,30 @@ class TestAwgn:
             want[b] = x[b] + scale * (re + 1j * im)
         got = add_awgn(x, noise, [np.random.default_rng((29, b)) for b in range(shape[0])])
         assert np.array_equal(got, want)
+
+    # Row lengths on both sides of the slice (a row's 2r draws span more
+    # than one slice past _NOISE_SLICE / 2) and of the row groups
+    # (_NOISE_SLICE // 2r rows share add_awgn's draw buffer).
+    @settings(max_examples=40, deadline=None)
+    @given(single=st.booleans(), rows=st.integers(1, 9),
+           r=st.one_of(st.integers(1, 40), st.sampled_from([
+               _NOISE_SLICE // 8 + 1, _NOISE_SLICE // 6, _NOISE_SLICE // 4,
+               _NOISE_SLICE // 2 - 1, _NOISE_SLICE // 2, _NOISE_SLICE // 2 + 1,
+               _NOISE_SLICE - 1, _NOISE_SLICE, _NOISE_SLICE + 1, 2 * _NOISE_SLICE + 5])),
+           snr_db=st.floats(-10.0, 40.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_equals_x_plus_the_lanes_draws(self, single, rows, r, snr_db, seed):
+        x = np.random.default_rng(seed).standard_normal((rows, r, 2)).view(complex)[..., 0]
+        noise = NoiseSpec.from_snr_db(snr_db)
+
+        def gens():
+            return (np.random.default_rng(seed) if single
+                    else [np.random.default_rng((seed, b)) for b in range(rows)])
+        want = x.copy()
+        w = want.reshape(1 if single else rows, -1)
+        z = awgn_draws(noise, gens(), np.empty((len(w), 2, w.shape[1])))
+        w.real += z[:, 0]
+        w.imag += z[:, 1]
+        assert np.array_equal(add_awgn(x, noise, gens()), want)
 
     def test_input_is_not_modified(self):
         x = np.ones(8, dtype=complex)

@@ -1,6 +1,8 @@
 """Experiment harness: reproducibility contract, stopping rules, CSV
 formatting, sample-mixing model, and per-subcarrier mixing measurement."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -161,7 +163,7 @@ class TestChainStages:
         bits = np.random.default_rng(seed).integers(0, 2, size=(*shape, k), dtype=np.uint8)
         idx, d = modem.qam_symbols(bits, const)
         want = bits.astype(np.int64) @ (1 << np.arange(k - 1, -1, -1, dtype=np.int64))
-        assert idx.dtype == np.int64 and np.array_equal(idx, want)
+        assert idx.dtype == np.min_scalar_type(m - 1) and np.array_equal(idx, want)
         assert np.array_equal(d, const.points[want])
 
     @settings(max_examples=60, deadline=None)
@@ -229,12 +231,47 @@ class TestBerExperiment:
         for workers in (2, 3):
             assert run_ber_experiment(cfg, workers=workers).to_csv() == a.to_csv()
 
+    # Transpose blocks of 128 * (128 + 16) = 18,432 framed samples, over the
+    # chunk budget, so a one-worker run draws their noise on the lane.
+    LANE = BerExperimentConfig(seed=41, n=128, n_cp=16, snr_db=(0.0, 12.0, 24.0), blocks=6,
+                               min_blocks=2, min_errors=2000, max_bits=5 * 128 * 128 * 2)
+    # Its rows, captured before the noise lane existed.
+    LANE_ROWS = ["ber,128,4,transpose,zf,0,0,2,17570,0.268097,15151,0.462372,0.00339148",
+                 "ber,128,4,transpose,zf,12,0,2,7719,0.117783,7021,0.214264,0.002468",
+                 "ber,128,4,transpose,zf,24,0,5,0,0,0,0,0"]
+
+    def test_lane_runs_keep_the_csv_at_one_two_and_three_workers(self, monkeypatch):
+        import threading
+        lanes = []
+
+        def recording(*args, fn=harness.awgn_draws):
+            lanes.append(threading.current_thread() is not threading.main_thread())
+            return fn(*args)
+        monkeypatch.setattr(harness, "awgn_draws", recording)
+        serial = run_ber_experiment(self.LANE)
+        assert serial.to_csv() == "\n".join([CSV_HEADER, *self.LANE_ROWS]) + "\n"
+        assert [s.reason for s in serial.stops] == ["error-budget", "error-budget", "bit-cap"]
+        assert lanes == [True] * 9  # one helper thread per one-block chunk
+        for workers in (2, 3):
+            pooled = run_ber_experiment(self.LANE, workers=workers)
+            assert pooled.to_csv() == serial.to_csv()
+            assert [s.reason for s in pooled.stops] == [s.reason for s in serial.stops]
+
+    def test_lane_runs_only_for_serial_blocks_over_the_chunk_budget(self):
+        small = BerExperimentConfig(seed=1, n=64, n_cp=16)  # 5,120 samples per block
+        assert harness._BerStream(self.LANE, 1).lane
+        assert not harness._BerStream(self.LANE, 2).lane
+        assert not harness._BerStream(small, 1).lane
+        tasks = harness._BerStream(self.LANE, 1).tasks()
+        assert [task[5] for task in itertools.islice(tasks, 3)] == [True] * 3
+
     @pytest.mark.parametrize("cfg", [
         BerExperimentConfig(seed=13, n=64, snr_db=(40.0,), blocks=60,
                             min_blocks=5, min_errors=10 ** 9, max_bits=10000),
         BerExperimentConfig(seed=13, n=64, snr_db=(0.0,), blocks=60,
                             min_blocks=4, min_errors=100),
-    ], ids=["bit-cap", "error-budget"])
+        LANE,
+    ], ids=["bit-cap", "error-budget", "noise-lane"])
     def test_one_worker_computes_only_the_blocks_taken(self, cfg):
         report = run_ber_experiment(cfg)
         assert [(s.submitted, s.cancelled) for s in report.stops] == [
@@ -391,11 +428,12 @@ class TestBerExperiment:
         dict(n=4, n_cp=2, interleaver="keyed", l_depth=2, channel="awgn"),
         dict(n=8, n_cp=0, interleaver="transpose", channel="awgn"),
     ]), st.integers(0, 2 ** 64 - 1), st.integers(0, 3), st.integers(0, 6), st.integers(1, 6),
-        st.floats(-5.0, 30.0))
-    def test_one_chunk_counts_like_one_block_chunks(self, kwargs, seed, point, b0, count, snr):
+        st.floats(-5.0, 30.0), st.booleans())
+    def test_one_chunk_counts_like_one_block_chunks(self, kwargs, seed, point, b0, count, snr,
+                                                    lane):
         cfg = BerExperimentConfig(seed=seed, blocks=20, snr_db=(snr,), **kwargs)
-        chunk = harness._ber_chunk_entry((cfg, point, snr, b0, b0 + count))
-        single = [harness._ber_chunk_entry((cfg, point, snr, b, b + 1))
+        chunk = harness._ber_chunk_entry((cfg, point, snr, b0, b0 + count, lane))
+        single = [harness._ber_chunk_entry((cfg, point, snr, b, b + 1, False))
                   for b in range(b0, b0 + count)]
         assert chunk.shape == (count, 2)
         assert np.array_equal(chunk, np.concatenate(single))
@@ -411,7 +449,7 @@ class TestBerExperiment:
                 return fn(x, p, **kwargs)
             monkeypatch.setattr(harness, name, counting)
         cfg = BerExperimentConfig(seed=4, blocks=20, snr_db=(8.0,), **kwargs)
-        assert harness._ber_chunk_entry((cfg, 0, 8.0, 2, 7)).shape == (5, 2)
+        assert harness._ber_chunk_entry((cfg, 0, 8.0, 2, 7, False)).shape == (5, 2)
         assert calls == {"encrypt_block": 1, "decrypt_block": 1}
 
     def test_cp_shorter_than_channel_warns(self):
@@ -718,7 +756,8 @@ class TestChainBuffers:
                 BerExperimentConfig(seed=32, n=32, interleaver="keyed", l_depth=3, n_cp=12,
                                     snr_db=(6.0,), blocks=40, min_errors=80, key=KEY),
                 BerExperimentConfig(seed=33, n=8, interleaver="none", n_cp=0, channel="awgn",
-                                    snr_db=(3.0,), blocks=25)]
+                                    snr_db=(3.0,), blocks=25),
+                TestBerExperiment.LANE]  # each chunk of it starts a noise lane
         serial = [run_ber_experiment(cfg).to_csv() for cfg in cfgs]
         assert "buffers" not in vars(harness._chain_cache)
         start = threading.Barrier(len(cfgs))
@@ -751,16 +790,53 @@ class TestChainBuffers:
             run_ber_experiment(BerExperimentConfig(seed=3, n=16, blocks=2))
         assert "buffers" not in vars(harness._chain_cache)
 
+    def test_lane_error_reaches_the_caller_and_leaves_no_thread(self, monkeypatch):
+        import threading
+        cfg = TestBerExperiment.LANE
+        want = run_ber_experiment(cfg).to_csv()
+        threads = threading.active_count()
+
+        def fail(noise, rngs, out):
+            out[...] = np.nan  # a half-written buffer that must not leak
+            raise RuntimeError("draws failed")
+        monkeypatch.setattr(harness, "awgn_draws", fail)
+        with pytest.raises(RuntimeError, match="draws failed"):
+            run_ber_experiment(cfg)
+        assert threading.active_count() == threads
+        monkeypatch.undo()
+        assert run_ber_experiment(cfg).to_csv() == want
+
+    def test_lane_is_joined_when_the_signal_path_raises(self, monkeypatch):
+        import threading
+        import time
+        done = []
+
+        def slow(*args, fn=harness.awgn_draws):
+            time.sleep(0.05)
+            out = fn(*args)
+            done.append(True)
+            return out
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("channel failed")
+        monkeypatch.setattr(harness, "awgn_draws", slow)
+        monkeypatch.setattr(harness, "apply_channel_stream", fail)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="channel failed"):
+            run_ber_experiment(TestBerExperiment.LANE)
+        # the draws had finished before the chunk returned
+        assert done == [True] and threading.active_count() == threads
+
     def test_steady_chunk_allocates_little(self):
         # A transpose n=256 block is 69,632 framed samples (1.1 MB each
         # stage); after a warm-up chunk its stages run in the cached buffers.
         import tracemalloc
         cfg = BerExperimentConfig(seed=5, n=256, snr_db=(10.0,), blocks=4)
         try:
-            harness._ber_chunk_entry((cfg, 0, 10.0, 0, 1))
+            harness._ber_chunk_entry((cfg, 0, 10.0, 0, 1, True))
             tracemalloc.start()
             try:
-                harness._ber_chunk_entry((cfg, 0, 10.0, 1, 2))
+                harness._ber_chunk_entry((cfg, 0, 10.0, 1, 2, True))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
