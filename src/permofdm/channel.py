@@ -139,10 +139,9 @@ def apply_channel_stream(stream: np.ndarray, taps: np.ndarray, out=None) -> np.n
 
 
 def _noise_slices(g: np.random.Generator, noise: NoiseSpec | float, r: int, dest=None):
-    """Draw one row's noise on r samples from g, _NOISE_SLICE values at a
-    time, real parts first; yield (part, s, d), d the scaled draws for
-    samples [s, s + d.size) of part 0 (real) or 1 (imaginary), in dest, a
-    float64 (2, r) array, when given, else in one reused buffer."""
+    """Draw one row's noise on r samples from g, _NOISE_SLICE values at a time,
+    real parts first, yielding (part, s, d): the scaled draws d of samples [s,
+    s + d.size) of part 0 or 1, in dest, a float64 (2, r) array, if given."""
     sigma_z2 = noise.sigma_z2 if isinstance(noise, NoiseSpec) else float(noise)
     if sigma_z2 < 0:
         raise ShapeError("noise power must be non-negative")

@@ -322,10 +322,9 @@ _chain_cache = threading.local()
 
 def _chain_buffers(count: int, l_eff: int, framed: int):
     """Two (count, l_eff, framed) complex128 buffers that the signal stages
-    write in turn and a (count, 2, l_eff * framed) float64 one for the noise
-    draws, reused across this thread's chunks while l_eff and the framed
-    length stay and count fits, so a chunk takes no fresh pages for its
-    stages.  run_ber_experiment drops them."""
+    write in turn and a (count, 2, l_eff * framed) float64 one for the noise,
+    reused across this thread's chunks while l_eff and the framed length stay
+    and count fits, so stages take no fresh pages.  run_ber_experiment drops them."""
     cached = getattr(_chain_cache, "buffers", None)
     if cached is None or cached[0].shape[1:] != (l_eff, framed) or len(cached[0]) < count:
         cached = (*(np.empty((count, l_eff, framed), dtype=np.complex128) for _ in range(2)),
@@ -435,8 +434,7 @@ class _BerStream:
         self.bits = self.syms * QamConstellation.square(cfg.m).bits_per_symbol
         block = cfg.symbols_per_block * (cfg.n + cfg.n_cp)
         self.most = max(1, _CHUNK_SAMPLES // block)
-        # A serial block over the chunk budget draws its noise on the idle core.
-        self.lane = workers == 1 and block > _CHUNK_SAMPLES
+        self.lane = workers == 1 and block > _CHUNK_SAMPLES  # a pool already fills the cores
         self.cap = min(cfg.blocks, math.ceil(cfg.max_bits / self.bits))
         self.points = [_PointTally(pi, float(snr_db)) for pi, snr_db in enumerate(cfg.snr_db)]
 

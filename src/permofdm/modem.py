@@ -14,7 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FramingError, ShapeError
+from .errors import FramingError, ShapeError, out_array
+
+# Samples mapped or decided per pass, so the temporaries stay small.
+_DECISION_SLICE = 8192
 
 
 def gray_to_binary(g: int) -> int:
@@ -75,7 +78,11 @@ def qam_symbols(bits: np.ndarray, c: QamConstellation, out=None):
     for j in range(1, c.bits_per_symbol):
         idx <<= 1
         idx |= bits[..., j]
-    return idx, np.take(c.points, idx, out=out, mode="clip")
+    pts = out_array(out, idx.shape, np.complex128)
+    for s in range(0, idx.size, _DECISION_SLICE):  # take() widens a slice to intp
+        np.take(c.points, idx.reshape(-1)[s:s + _DECISION_SLICE],
+                out=pts.reshape(-1)[s:s + _DECISION_SLICE], mode="clip")
+    return idx, pts
 
 
 def qam_demodulate(symbols: np.ndarray, c: QamConstellation) -> np.ndarray:
@@ -83,10 +90,6 @@ def qam_demodulate(symbols: np.ndarray, c: QamConstellation) -> np.ndarray:
     idx = qam_point_indices(symbols, c)
     shifts = np.arange(c.bits_per_symbol - 1, -1, -1, dtype=np.int64)
     return ((idx[:, None] >> shifts) & 1).astype(np.uint8).reshape(-1)
-
-
-# Samples decided per pass, so the decisions' temporaries stay small.
-_DECISION_SLICE = 8192
 
 
 def qam_point_indices(symbols: np.ndarray, c: QamConstellation) -> np.ndarray:

@@ -382,9 +382,9 @@ def transpose_interleaver(n: int) -> Permutation:
     """
     if n < 1:
         raise ShapeError(f"n must be >= 1, got {n}")
-    return Permutation(
-        map=np.arange(n * n, dtype=np.int64).reshape(n, n).T.reshape(-1)
-    )
+    p = Permutation(map=np.arange(n * n, dtype=np.int64).reshape(n, n).T.reshape(-1))
+    p.__dict__["_inverse_map"] = p._index  # an involution: decryption needs no inverse built
+    return p
 
 
 def _blocks(p: Permutation, x: np.ndarray) -> int:
