@@ -105,7 +105,7 @@ def freq_response(taps: np.ndarray, n: int) -> np.ndarray:
 
 # Output samples per np.convolve call, so its temporaries stay small.
 _CONVOLVE_SEGMENT = 4096
-# Normal draws per pass of add_awgn and awgn_draws, so add_awgn's buffer stays small.
+# Normal draws per pass of add_awgn, so its draw buffer stays small.
 _NOISE_SLICE = 8192
 
 
@@ -138,34 +138,20 @@ def apply_channel_stream(stream: np.ndarray, taps: np.ndarray, out=None) -> np.n
     return out
 
 
-def _noise_slices(g: np.random.Generator, noise: NoiseSpec | float, r: int, dest=None):
-    """Draw one row's noise on r samples from g, _NOISE_SLICE values at a time,
-    real parts first, yielding (part, s, d): the scaled draws d of samples [s,
-    s + d.size) of part 0 or 1, in dest, a float64 (2, r) array, if given."""
+def awgn_draws(noise: NoiseSpec | float, rng, out: np.ndarray) -> np.ndarray:
+    """The scaled normal draws add_awgn adds, into out, a float64 (rows, 2, r)
+    array: row i takes the real parts, then the imaginary parts, of the noise
+    on r samples, in one call of rng, a Generator for one row, or of rng[i].
+    A (rows, 1, w) out takes the next w draws of each Generator instead."""
     sigma_z2 = noise.sigma_z2 if isinstance(noise, NoiseSpec) else float(noise)
     if sigma_z2 < 0:
         raise ShapeError("noise power must be non-negative")
-    scale = np.sqrt(sigma_z2 / 2.0)
-    buf = np.empty(min(r, _NOISE_SLICE)) if dest is None else None
-    for part in range(2):
-        for s in range(0, r, _NOISE_SLICE):
-            d = buf[:r - s] if dest is None else dest[part, s:s + _NOISE_SLICE]
-            g.standard_normal(out=d)
-            d *= scale
-            yield part, s, d
-
-
-def awgn_draws(noise: NoiseSpec | float, rng, out: np.ndarray) -> np.ndarray:
-    """The scaled normal draws that add_awgn adds, written into out: a
-    float64 (rows, 2, r) array whose row i receives the real parts, then
-    the imaginary parts, of the noise on r samples.  rng is one Generator
-    for a single row, or a sequence of Generators, one per row."""
     gens = [rng] if isinstance(rng, np.random.Generator) else rng
     if len(gens) != len(out):
         raise ShapeError(f"{len(gens)} generators for {len(out)} rows")
-    for g, dest in zip(gens, out):
-        for _ in _noise_slices(g, noise, out.shape[2], dest):
-            pass
+    for g, row in zip(gens, out):
+        g.standard_normal(out=row)
+    out *= np.sqrt(sigma_z2 / 2.0)
     return out
 
 
@@ -178,16 +164,30 @@ def add_awgn(x: np.ndarray, noise: NoiseSpec | float, rng, out=None) -> np.ndarr
     out, when given, receives the noisy samples; it may be x itself.
     """
     x = np.asarray(x)
-    single = isinstance(rng, np.random.Generator)
-    if not single and len(rng) != len(x):
-        raise ShapeError(f"{len(rng)} generators for {len(x)} rows")
     out = out_array(out, x.shape, np.complex128)
     if out is not x:
         np.copyto(out, x)
-    rows = out.reshape(1 if single else len(out), -1)
-    for g, row in zip([rng] if single else rng, rows):
-        for part, s, d in _noise_slices(g, noise, rows.shape[1]):
-            (row.real, row.imag)[part][s:s + d.size] += d
+    if isinstance(rng, np.random.Generator):
+        gens, rows = [rng], out.reshape(1, -1)
+    else:
+        if len(rng) != len(out):
+            raise ShapeError(f"{len(rng)} generators for {len(out)} rows")
+        gens, rows = rng, out.reshape(len(out), -1)
+    r = rows.shape[1]
+    group = _NOISE_SLICE // max(1, 2 * r)
+    if group:  # the draws of `group` whole rows fit one slice
+        draws = np.empty((min(group, len(rows)), 2, r))
+        for g0 in range(0, len(rows), group):
+            d = awgn_draws(noise, gens[g0:g0 + group], draws[:len(rows) - g0])
+            rows[g0:g0 + group].real += d[:, 0]
+            rows[g0:g0 + group].imag += d[:, 1]
+    else:  # a row's real parts, then its imaginary parts, a slice at a time
+        draws = np.empty((1, 1, _NOISE_SLICE))
+        for g, row in zip(gens, rows):
+            for part in (row.real, row.imag):
+                for s in range(0, r, _NOISE_SLICE):
+                    d = awgn_draws(noise, [g], draws[..., :r - s])[0, 0]
+                    part[s:s + d.size] += d
     return out
 
 

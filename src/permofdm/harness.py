@@ -345,12 +345,12 @@ def _lane(threaded: bool, fn, *args):
         except BaseException as exc:
             future.set_exception(exc)
 
-    thread = threading.Thread(target=run)
-    thread.start() if threaded else run()
+    thread = threading.Thread(target=run) if threaded else None
+    thread.start() if thread else run()
     try:
         yield future
     finally:
-        if threaded:
+        if thread:
             thread.join()
 
 

@@ -267,9 +267,10 @@ class TestAwgn:
         got = add_awgn(x, noise, [np.random.default_rng((29, b)) for b in range(shape[0])])
         assert np.array_equal(got, want)
 
-    # Row lengths on both sides of the slice (a row's 2r draws span more
-    # than one slice past _NOISE_SLICE / 2) and of the row groups
-    # (_NOISE_SLICE // 2r rows share add_awgn's draw buffer).
+    # Row lengths on both sides of _NOISE_SLICE / 2, past which add_awgn
+    # draws a row's parts a slice at a time, and of _NOISE_SLICE, and row
+    # counts on both sides of its row groups (_NOISE_SLICE // 2r rows share
+    # a draw buffer); x is one row for a single Generator.
     @settings(max_examples=40, deadline=None)
     @given(single=st.booleans(), rows=st.integers(1, 9),
            r=st.one_of(st.integers(1, 40), st.sampled_from([
@@ -287,6 +288,10 @@ class TestAwgn:
         want = x.copy()
         w = want.reshape(1 if single else rows, -1)
         z = awgn_draws(noise, gens(), np.empty((len(w), 2, w.shape[1])))
+        scale = np.sqrt(noise.sigma_z2 / 2.0)
+        ref = [g.standard_normal((2, w.shape[1])) * scale
+               for g in ([gens()] if single else gens())]
+        assert np.array_equal(z, np.stack(ref))  # each row's draws whole, in one call
         w.real += z[:, 0]
         w.imag += z[:, 1]
         assert np.array_equal(add_awgn(x, noise, gens()), want)
