@@ -138,15 +138,15 @@ def apply_channel_stream(stream: np.ndarray, taps: np.ndarray, out=None) -> np.n
     return out
 
 
-def awgn_draws(noise: NoiseSpec | float, rng, out: np.ndarray) -> np.ndarray:
-    """The scaled normal draws add_awgn adds, into out, a float64 (rows, 2, r)
-    array: row i takes the real parts, then the imaginary parts, of the noise
-    on r samples, in one call of rng, a Generator for one row, or of rng[i].
-    A (rows, 1, w) out takes the next w draws of each Generator instead."""
+def awgn_draws(noise: NoiseSpec | float, gens, out: np.ndarray) -> np.ndarray:
+    """The scaled normal draws of the noise, into out, a float64 array with one
+    row per Generator in gens: row i is filled, in C order, by one
+    standard_normal call of gens[i].  The BER chunk's (rows, 2, r) out takes,
+    in row i, the real parts, then the imaginary parts, of block i's noise on
+    r samples; add_awgn passes one (1, w) window at a time."""
     sigma_z2 = noise.sigma_z2 if isinstance(noise, NoiseSpec) else float(noise)
-    if sigma_z2 < 0:
-        raise ShapeError("noise power must be non-negative")
-    gens = [rng] if isinstance(rng, np.random.Generator) else rng
+    if not 0 <= sigma_z2 < np.inf:
+        raise ShapeError(f"noise power must be finite and non-negative, got {sigma_z2}")
     if len(gens) != len(out):
         raise ShapeError(f"{len(gens)} generators for {len(out)} rows")
     for g, row in zip(gens, out):
@@ -155,39 +155,20 @@ def awgn_draws(noise: NoiseSpec | float, rng, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def add_awgn(x: np.ndarray, noise: NoiseSpec | float, rng, out=None) -> np.ndarray:
-    """Add circularly symmetric complex Gaussian noise of total power sigma_z2.
+def add_awgn(x: np.ndarray, noise: NoiseSpec | float, rng: np.random.Generator) -> np.ndarray:
+    """x plus circularly symmetric complex Gaussian noise of total power sigma_z2,
+    as a new C-ordered complex128 array.
 
-    rng is one Generator for all of x, or a sequence of Generators, one per
-    row of x along its first axis; each draws its row's real parts, then
-    its imaginary parts, as a single Generator would for that row alone.
-    out, when given, receives the noisy samples; it may be x itself.
+    rng draws the real parts of every sample in C order, then the imaginary
+    parts, through awgn_draws a _NOISE_SLICE at a time; the values are those
+    of one standard_normal call of 2 * x.size draws.
     """
-    x = np.asarray(x)
-    out = out_array(out, x.shape, np.complex128)
-    if out is not x:
-        np.copyto(out, x)
-    if isinstance(rng, np.random.Generator):
-        gens, rows = [rng], out.reshape(1, -1)
-    else:
-        if len(rng) != len(out):
-            raise ShapeError(f"{len(rng)} generators for {len(out)} rows")
-        gens, rows = rng, out.reshape(len(out), -1)
-    r = rows.shape[1]
-    group = _NOISE_SLICE // max(1, 2 * r)
-    if group:  # the draws of `group` whole rows fit one slice
-        draws = np.empty((min(group, len(rows)), 2, r))
-        for g0 in range(0, len(rows), group):
-            d = awgn_draws(noise, gens[g0:g0 + group], draws[:len(rows) - g0])
-            rows[g0:g0 + group].real += d[:, 0]
-            rows[g0:g0 + group].imag += d[:, 1]
-    else:  # a row's real parts, then its imaginary parts, a slice at a time
-        draws = np.empty((1, 1, _NOISE_SLICE))
-        for g, row in zip(gens, rows):
-            for part in (row.real, row.imag):
-                for s in range(0, r, _NOISE_SLICE):
-                    d = awgn_draws(noise, [g], draws[..., :r - s])[0, 0]
-                    part[s:s + d.size] += d
+    out = np.array(x, dtype=np.complex128, order="C")  # so flat below is a view
+    flat = out.reshape(-1)
+    window = np.empty((1, min(flat.size, _NOISE_SLICE)))
+    for part in (flat.real, flat.imag):
+        for s in range(0, max(flat.size, 1), _NOISE_SLICE):  # an empty x is checked too
+            part[s:s + _NOISE_SLICE] += awgn_draws(noise, [rng], window[:, :flat.size - s])[0]
     return out
 
 

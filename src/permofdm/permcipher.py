@@ -93,20 +93,21 @@ class Permutation:
         if m.ndim not in (1, 2) or m.shape[-1] == 0 or not (
                 np.sort(m, axis=-1) == np.arange(m.shape[-1])).all():
             raise ShapeError("map is not a permutation of 0..size-1 with size >= 1")
+        self._hold(m)
+
+    def _hold(self, m: np.ndarray) -> "Permutation":
+        """Freeze and hold m, an int64 map known to be a permutation; return self."""
         frozen = m.view()
         frozen.setflags(write=False)
         object.__setattr__(self, "map", frozen)
         object.__setattr__(self, "_index", m)
+        return self
 
     def __getitem__(self, r) -> "Permutation":
         """Map r of a stack, without checking it again."""
         if self.map.ndim != 2:
             raise ShapeError("a single map has no rows")
-        r = operator.index(r)
-        row = object.__new__(Permutation)
-        object.__setattr__(row, "map", self.map[r])
-        object.__setattr__(row, "_index", self._index[r])
-        return row
+        return object.__new__(Permutation)._hold(self._index[operator.index(r)])
 
     @property
     def size(self) -> int:
@@ -114,10 +115,10 @@ class Permutation:
 
     @functools.cached_property
     def _inverse_map(self) -> np.ndarray:
-        """The inverse of a single map, computed once; an involution is its own."""
+        """The inverse of a single map, computed once (transpose_interleaver presets it)."""
         inv = np.empty_like(self._index)
         inv[self._index] = np.arange(self.size)
-        return self._index if np.array_equal(inv, self._index) else inv
+        return inv
 
     def inverse(self) -> "Permutation":
         ramp = np.broadcast_to(np.arange(self.size), self.map.shape)
@@ -382,7 +383,9 @@ def transpose_interleaver(n: int) -> Permutation:
     """
     if n < 1:
         raise ShapeError(f"n must be >= 1, got {n}")
-    p = Permutation(map=np.arange(n * n, dtype=np.int64).reshape(n, n).T.reshape(-1))
+    ramp = np.arange(n, dtype=np.int64)
+    # a permutation by construction, built in one (n, n) array and not checked
+    p = object.__new__(Permutation)._hold((ramp[:, None] + n * ramp).reshape(-1))
     p.__dict__["_inverse_map"] = p._index  # an involution: decryption needs no inverse built
     return p
 

@@ -179,15 +179,6 @@ class TestBatchedRows:
         with pytest.raises(ShapeError):
             apply_channel_stream(np.ones((3, 16)), np.ones(4))
 
-    def test_add_awgn_with_a_generator_per_row(self):
-        x = np.arange(3 * 40, dtype=complex).reshape(3, 40)
-        noise = NoiseSpec.from_snr_db(3.0)
-        got = add_awgn(x, noise, [np.random.default_rng((9, b)) for b in range(3)])
-        for b, row in enumerate(got):
-            assert np.array_equal(row, add_awgn(x[b], noise, np.random.default_rng((9, b))))
-        with pytest.raises(ShapeError):
-            add_awgn(x, noise, [np.random.default_rng(0)] * 2)
-
 
 class TestCirculantStructure:
     def test_dft_diagonalizes_circulant(self):
@@ -259,42 +250,67 @@ class TestAwgn:
         re, im = rng.standard_normal(shape), rng.standard_normal(shape)
         assert np.array_equal(add_awgn(x, noise, np.random.default_rng(29)),
                               x + scale * (re + 1j * im))
-        want = np.empty_like(x)
-        for b in range(shape[0]):
-            g = np.random.default_rng((29, b))
-            re, im = g.standard_normal(shape[1:]), g.standard_normal(shape[1:])
-            want[b] = x[b] + scale * (re + 1j * im)
-        got = add_awgn(x, noise, [np.random.default_rng((29, b)) for b in range(shape[0])])
-        assert np.array_equal(got, want)
 
-    # Row lengths on both sides of _NOISE_SLICE / 2, past which add_awgn
-    # draws a row's parts a slice at a time, and of _NOISE_SLICE, and row
-    # counts on both sides of its row groups (_NOISE_SLICE // 2r rows share
-    # a draw buffer); x is one row for a single Generator.
+    # Lengths on both sides of _NOISE_SLICE, past which add_awgn draws a
+    # part a slice at a time.
     @settings(max_examples=40, deadline=None)
-    @given(single=st.booleans(), rows=st.integers(1, 9),
+    @given(rows=st.integers(1, 9),
            r=st.one_of(st.integers(1, 40), st.sampled_from([
-               _NOISE_SLICE // 8 + 1, _NOISE_SLICE // 6, _NOISE_SLICE // 4,
                _NOISE_SLICE // 2 - 1, _NOISE_SLICE // 2, _NOISE_SLICE // 2 + 1,
                _NOISE_SLICE - 1, _NOISE_SLICE, _NOISE_SLICE + 1, 2 * _NOISE_SLICE + 5])),
            snr_db=st.floats(-10.0, 40.0), seed=st.integers(0, 2 ** 32 - 1))
-    def test_equals_x_plus_the_lanes_draws(self, single, rows, r, snr_db, seed):
+    def test_equals_x_plus_the_lanes_draws(self, rows, r, snr_db, seed):
         x = np.random.default_rng(seed).standard_normal((rows, r, 2)).view(complex)[..., 0]
         noise = NoiseSpec.from_snr_db(snr_db)
-
-        def gens():
-            return (np.random.default_rng(seed) if single
-                    else [np.random.default_rng((seed, b)) for b in range(rows)])
         want = x.copy()
-        w = want.reshape(1 if single else rows, -1)
-        z = awgn_draws(noise, gens(), np.empty((len(w), 2, w.shape[1])))
-        scale = np.sqrt(noise.sigma_z2 / 2.0)
-        ref = [g.standard_normal((2, w.shape[1])) * scale
-               for g in ([gens()] if single else gens())]
-        assert np.array_equal(z, np.stack(ref))  # each row's draws whole, in one call
+        w = want.reshape(1, -1)
+        z = awgn_draws(noise, [np.random.default_rng(seed)], np.empty((1, 2, w.shape[1])))
         w.real += z[:, 0]
         w.imag += z[:, 1]
-        assert np.array_equal(add_awgn(x, noise, gens()), want)
+        assert np.array_equal(add_awgn(x, noise, np.random.default_rng(seed)), want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.integers(1, 9),
+           r=st.one_of(st.integers(0, 40), st.sampled_from([_NOISE_SLICE, 2 * _NOISE_SLICE + 5])),
+           snr_db=st.floats(-10.0, 40.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_awgn_draws_take_each_row_in_one_call(self, rows, r, snr_db, seed):
+        noise = NoiseSpec.from_snr_db(snr_db)
+        z = awgn_draws(noise, [np.random.default_rng((seed, b)) for b in range(rows)],
+                       np.empty((rows, 2, r)))
+        scale = np.sqrt(noise.sigma_z2 / 2.0)
+        ref = [np.random.default_rng((seed, b)).standard_normal((2, r)) * scale
+               for b in range(rows)]
+        assert np.array_equal(z, np.stack(ref))
+        with pytest.raises(ShapeError, match="generators"):
+            awgn_draws(noise, [np.random.default_rng(seed)] * (rows + 1), z)
+
+    # Sizes around _NOISE_SLICE, and a np.broadcast_to view, whose copy must
+    # still be C-ordered so that the noise reaches it.
+    @settings(max_examples=60, deadline=None)
+    @given(size=st.sampled_from([0, 1, 2, _NOISE_SLICE - 1, _NOISE_SLICE, _NOISE_SLICE + 1,
+                                 2 * _NOISE_SLICE + 5]),
+           layout=st.sampled_from(["flat", "column", "broadcast", "transposed"]),
+           sigma_z2=st.floats(0.0, 10.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_one_call_of_twin_draws(self, size, layout, sigma_z2, seed):
+        base = np.random.default_rng(seed).standard_normal((size, 2)).view(complex)[:, 0]
+        x = {"flat": base,
+             "column": base[:, None],
+             "broadcast": np.broadcast_to(base, (3, size)),
+             "transposed": np.broadcast_to(base, (3, size)).T}[layout]
+        draws = np.random.default_rng(seed).standard_normal(2 * x.size)
+        re, im = draws[:x.size].reshape(x.shape), draws[x.size:].reshape(x.shape)
+        got = add_awgn(x, sigma_z2, np.random.default_rng(seed))
+        assert got.flags.c_contiguous and got.dtype == np.complex128
+        assert np.array_equal(got, x + np.sqrt(sigma_z2 / 2.0) * (re + 1j * im))
+
+    @pytest.mark.parametrize("power", [float("nan"), float("inf"), NoiseSpec(float("nan")),
+                                       NoiseSpec(float("inf")), -1.0])
+    @pytest.mark.parametrize("size", [0, 4])
+    def test_non_finite_or_negative_power_is_refused(self, power, size):
+        with pytest.raises(ShapeError, match="finite and non-negative"):
+            add_awgn(np.zeros(size, dtype=complex), power, np.random.default_rng(0))
+        with pytest.raises(ShapeError, match="finite and non-negative"):
+            awgn_draws(power, [np.random.default_rng(0)], np.empty((1, 2, size)))
 
     def test_input_is_not_modified(self):
         x = np.ones(8, dtype=complex)

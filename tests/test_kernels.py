@@ -359,8 +359,6 @@ class TestOutParameter:
         h = cnormal(*lead, 1, n) if count else cnormal(n)
         const = modem.QamConstellation.square(16)
         bits = rng.integers(0, 2, size=(*lead, l, n, 4), dtype=np.uint8)
-        gens = lambda: ([np.random.default_rng((seed, r)) for r in range(count)] if count
-                        else np.random.default_rng(seed))
         kind = equalizer.EqualizerKind()
         calls = [
             (lambda out: modem.ifft_modulate(x, out=out), x.shape, True),
@@ -369,7 +367,6 @@ class TestOutParameter:
             (lambda out: modem.qam_symbols(bits, const, out=out)[1], x.shape, False),
             (lambda out: channel.apply_channel_stream(stream, taps, out=out), stream.shape,
              False),
-            (lambda out: channel.add_awgn(x, 0.3, gens(), out=out), x.shape, True),
             (lambda out: equalizer.equalize(x, h, kind, out=out), x.shape, True),
         ]
         for p in perms:

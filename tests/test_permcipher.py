@@ -1,6 +1,7 @@
 """Keyed permutation cipher: frozen vectors, statistical uniformity,
 bijection/roundtrip properties, and scrambling strength."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -364,6 +365,20 @@ class TestTransposeInterleaver:
             p.map[0] = 1
         with pytest.raises(ShapeError):
             transpose_interleaver(0)
+
+    def test_built_in_one_map_without_a_check(self, monkeypatch):
+        monkeypatch.setattr(Permutation, "__post_init__", None)  # no Permutation can be built
+        n = 512
+        tracemalloc.start()
+        try:
+            p = transpose_interleaver.__wrapped__(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(p.map.reshape(n, n), np.arange(n * n).reshape(n, n).T)
+        assert p.map.dtype == np.int64 and not p.map.flags.writeable
+        assert peak <= 1.5 * p.map.nbytes
+        assert p._inverse_map is p._index
 
 
 class TestKeyspace:
