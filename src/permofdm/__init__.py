@@ -17,7 +17,6 @@ from .channel import (
     apply_channel_stream,
     draw_rayleigh_channel,
     freq_response,
-    rms_delay_spread,
 )
 from .equalizer import (
     EqualizerKind,
@@ -25,7 +24,6 @@ from .equalizer import (
     conditional_snr_zf,
     equalize,
     equalizer_weights,
-    noise_mixing_row,
     qfunc,
     semi_analytic_ber,
 )
@@ -57,7 +55,6 @@ from .harness import (
     SnrAnalysisConfig,
     TrialReport,
     analyze_snr,
-    ici_alpha_exact,
     measure_ici,
     mixing_map,
     run_attack_recovery_experiment,

@@ -6,6 +6,7 @@ reference profile used by the stock experiments ships as
 profiles/paper_sec6.txt.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,7 +68,8 @@ class NoiseSpec:
 
     @property
     def snr(self) -> float:
-        return 1.0 / self.sigma_z2
+        """1 / sigma_z2; infinite for a zero noise power."""
+        return 1.0 / self.sigma_z2 if self.sigma_z2 else math.inf
 
     @property
     def snr_db(self) -> float:
@@ -171,11 +173,3 @@ def add_awgn(x: np.ndarray, noise: NoiseSpec | float, rng: np.random.Generator) 
             part[s:s + _NOISE_SLICE] += awgn_draws(noise, [rng], window[:, :flat.size - s])[0]
     return out
 
-
-def rms_delay_spread(profile: ChannelProfile) -> float:
-    """Mean-squared delay spread: the power-weighted second central moment
-    of the tap delays, in squared sample units."""
-    w = profile.mean_powers / profile.mean_powers.sum()
-    d = profile.delays.astype(np.float64)
-    mean = float(w @ d)
-    return float(w @ (d - mean) ** 2)

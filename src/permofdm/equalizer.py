@@ -94,17 +94,6 @@ def equalize(y: np.ndarray, h: np.ndarray, kind: EqualizerKind, snr: float | Non
     return ifft_modulate(z, out=z)
 
 
-def noise_mixing_row(h: np.ndarray) -> np.ndarray:
-    """Row 0 of the circulant V = F^H diag(1/H) F that maps pre-FFT noise to
-    de-permuted noise: entry m is (1/N) sum_k eps^{-mk} / H_k."""
-    h = np.asarray(h, dtype=np.complex128)
-    if h.ndim != 1 or h.size == 0:
-        raise ShapeError("response must be a non-empty 1-D vector")
-    if np.any(h == 0):
-        raise SingularChannelError("response has a zero bin; apply a floor first")
-    return np.fft.fft(1.0 / h) / h.size
-
-
 def conditional_snr_zf(h: np.ndarray, snr: float, zf_floor: float = 0.0) -> float:
     """Post-ZF symbol SNR for a scrambled block: snr / mean(|H_k|^-2)."""
     h = np.asarray(h, dtype=np.complex128)

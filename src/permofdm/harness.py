@@ -13,21 +13,24 @@ block or total-bit cap is hit.  The report records which of the three
 stopped each point, outside the CSV.
 
 A BER task is a chunk of consecutive blocks of one point, which runs
-through the link chain once as a stack, in three buffers that the thread
-reuses from chunk to chunk (_chain_buffers).  Every point of a run goes
-through one task stream (_BerStream): each chunk ends at the point's
-predicted stop, and a pool fills its window with the chunks the
-predictions say are needed, earliest point first, before it computes
-past any prediction.
+through the link chain once as a stack, in two buffers reused from chunk
+to chunk (_chain_buffers).  Every point of a run goes through one task
+stream (_BerStream): each chunk ends at the point's predicted stop, and a
+pool fills its window with the chunks the predictions say are needed,
+earliest point first, before it computes past any prediction.  One worker
+computes no block past a stop; when its blocks are over the chunk budget,
+a helper thread computes a second block that is sure to be taken beside
+the calling thread's, or draws the noise of a block that has no such twin.
 """
 
+import concurrent.futures
 import hashlib
 import itertools
 import math
 import threading
 import warnings
 from collections import deque
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Literal, Optional, get_args
@@ -190,12 +193,18 @@ def _check_workers(workers: int) -> None:
 
 
 @contextmanager
-def _task_map(workers: int):
+def _task_map(workers: int, pairs: bool = False):
     """Yield imap(entry, tasks, drop=None), a lazy map that yields each task
     with its result, in task order.
 
     With one worker a task is computed only when its result is taken, so a
-    caller that stops early computes nothing past the stop.  A pool keeps
+    caller that stops early computes nothing past the stop.  With pairs set
+    (BER chunks), a helper thread kept for the map computes the first of two
+    tasks as entry(task, buffers), in chain buffers that this thread
+    allocates, while this thread computes the second.  `tasks` then yields
+    only tasks sure to be taken, and None when the next one is not sure
+    until the first is folded; the first runs here alone, as entry(task,
+    lane=(submit, buffers)), and the helper draws its noise.  A pool keeps
     2 * workers tasks in flight and asks `tasks` for the next one only after
     a result has been taken, so later tasks can depend on earlier results.
     After each result, the tasks in flight that drop(task) selects are let
@@ -204,6 +213,24 @@ def _task_map(workers: int):
     stops, the tasks not yet started are cancelled.
     """
     _check_workers(workers)
+    if workers == 1 and pairs:
+        # The thread module of concurrent.futures loads here, not on import.
+        with concurrent.futures.ThreadPoolExecutor(max_workers=1) as helper:
+            spare = {}  # the helper's chain buffers
+
+            def paired(entry, tasks, drop=None):
+                tasks = iter(tasks)
+                for task in tasks:
+                    buffers = _chain_buffers(task, spare)
+                    if (twin := next(tasks, None)) is None:
+                        yield task, entry(task, lane=(helper.submit, buffers))
+                        continue
+                    first = helper.submit(entry, task, buffers)
+                    second = entry(twin)
+                    yield task, first.result()
+                    yield twin, second
+            yield paired
+        return
     if workers == 1:
         def serial(entry, tasks, drop=None):
             return ((task, entry(task)) for task in tasks)
@@ -316,67 +343,54 @@ def _chunk_permutation(cfg: BerExperimentConfig, point_index: int, b0: int, b1: 
     return derive_permutations(key, range(base + b0, base + b1), size)
 
 
-# Per thread, the three buffers of the last chunk geometry; see _chain_buffers.
+# Per thread, the two buffers of the last chunk geometry; see _chain_buffers.
 _chain_cache = threading.local()
 
 
-def _chain_buffers(count: int, l_eff: int, framed: int):
-    """Two (count, l_eff, framed) complex128 buffers that the signal stages
-    write in turn and a (count, 2, l_eff * framed) float64 one for the noise,
-    reused across this thread's chunks while l_eff and the framed length stay
-    and count fits, so stages take no fresh pages.  run_ber_experiment drops them."""
-    cached = getattr(_chain_cache, "buffers", None)
-    if cached is None or cached[0].shape[1:] != (l_eff, framed) or len(cached[0]) < count:
-        cached = (*(np.empty((count, l_eff, framed), dtype=np.complex128) for _ in range(2)),
-                  np.empty((count, 2, l_eff * framed)))
-        _chain_cache.buffers = cached
+def _chain_buffers(task, cache=None):
+    """The two (count, l_eff, framed) complex128 buffers that the signal
+    stages of a chunk task write in turn.  They are kept in `cache`, a dict
+    (this thread's by default), and reused while l_eff and the framed length
+    stay and count fits, so stages take no fresh pages.  run_ber_experiment
+    drops this thread's."""
+    cfg, count = task[0], task[4] - task[3]
+    cache = vars(_chain_cache) if cache is None else cache
+    shape = (cfg.symbols_per_block, cfg.n + cfg.n_cp)
+    cached = cache.get("buffers")
+    if cached is None or cached[0].shape[1:] != shape or len(cached[0]) < count:
+        cached = cache["buffers"] = [np.empty((count, *shape), dtype=np.complex128)
+                                     for _ in range(2)]
     return [buf[:count] for buf in cached]
 
 
-@contextmanager
-def _lane(threaded: bool, fn, *args):
-    """Yield a Future of fn(*args), run at once, or when threaded on a helper
-    thread that is joined before the block exits, whether or not it raised."""
-    future = Future()
-
-    def run():
-        try:
-            future.set_result(fn(*args))
-        except BaseException as exc:
-            future.set_exception(exc)
-
-    thread = threading.Thread(target=run) if threaded else None
-    thread.start() if thread else run()
-    try:
-        yield future
-    finally:
-        if thread:
-            thread.join()
-
-
-def _ber_chunk_entry(task):
+def _ber_chunk_entry(task, buffers=None, lane=None):
     """Blocks [b0, b1) of one point: (b1 - b0, 2) bit and symbol errors per block.
 
     Block b draws its channel taps, bits and noise, in that order, from
     default_rng((seed, point_index, b)); every stage then runs once on the
-    blocks stacked along a leading axis.  The noise is drawn into the third
-    chain buffer first, or on a helper thread while the signal path runs when
-    the task's lane flag is set (_BerStream).  Each other stage writes into
-    whichever chain buffer its input is not in, so a chunk allocates only
-    the bits and the narrow point indices at full size.
+    blocks stacked along a leading axis, writing into whichever of the two
+    chain buffers (`buffers`, or this thread's) its input is not in.  The
+    noise is drawn into the buffer the convolution left free and then added;
+    given a lane (submit, idle buffers), the lane draws it into the first
+    idle buffer while the signal path runs.  So a chunk allocates only the
+    bits and the narrow point indices at full size.
     """
-    cfg, point_index, snr_db, b0, b1, lane = task
+    cfg, point_index, snr_db, b0, b1 = task
     rngs = [np.random.default_rng((cfg.seed, point_index, b)) for b in range(b0, b1)]
     count, n, n_cp, l_eff = b1 - b0, cfg.n, cfg.n_cp, cfg.symbols_per_block
     const = QamConstellation.square(cfg.m)
     k = const.bits_per_symbol
     perm = _chunk_permutation(cfg, point_index, b0, b1)  # built before the buffers fill
-    a, b, z = _chain_buffers(count, l_eff, n + n_cp)
+    a, b = buffers or _chain_buffers(task)
 
     def spare(x, framed=False):
         """The chain buffer x is not in: framed, or its head as (count, l_eff, n)."""
         s = a if np.may_share_memory(x, b) else b
         return s if framed else s.reshape(-1)[:count * l_eff * n].reshape(count, l_eff, n)
+
+    def as_noise(buf):
+        """A framed chain buffer as the (count, 2, samples) float64 noise draws."""
+        return buf.view(np.float64).reshape(count, 2, -1)
 
     if cfg.channel == "awgn":
         taps = np.ones((count, 1), dtype=np.complex128)
@@ -386,14 +400,16 @@ def _ber_chunk_entry(task):
 
     bits = np.stack([rng.integers(0, 2, size=(l_eff, n, k), dtype=np.uint8) for rng in rngs])
     noise = NoiseSpec.from_snr_db(snr_db)
-    with _lane(lane, awgn_draws, noise, rngs, z) as draws:
-        tx_idx, x = qam_symbols(bits, const, out=spare(b))
-        x = ifft_modulate(x, out=spare(x))
-        if perm is not None:
-            x = encrypt_block(x, perm, out=spare(x))
-        x = add_cp(x, n_cp, out=spare(x, framed=True)).reshape(count, -1)
-        x = apply_channel_stream(x, taps, out=spare(x, framed=True).reshape(count, -1))
-        z = draws.result()
+    if lane:
+        submit, (idle, _) = lane
+        draws = submit(awgn_draws, noise, rngs, as_noise(idle))
+    tx_idx, x = qam_symbols(bits, const, out=spare(b))
+    x = ifft_modulate(x, out=spare(x))
+    if perm is not None:
+        x = encrypt_block(x, perm, out=spare(x))
+    x = add_cp(x, n_cp, out=spare(x, framed=True)).reshape(count, -1)
+    x = apply_channel_stream(x, taps, out=spare(x, framed=True).reshape(count, -1))
+    z = draws.result() if lane else awgn_draws(noise, rngs, as_noise(spare(x, framed=True)))
     x.real += z[:, 0]
     x.imag += z[:, 1]
 
@@ -434,7 +450,7 @@ class _BerStream:
         self.bits = self.syms * QamConstellation.square(cfg.m).bits_per_symbol
         block = cfg.symbols_per_block * (cfg.n + cfg.n_cp)
         self.most = max(1, _CHUNK_SAMPLES // block)
-        self.lane = workers == 1 and block > _CHUNK_SAMPLES  # a pool already fills the cores
+        self.pairs = workers == 1 and block > _CHUNK_SAMPLES  # a pool already fills the cores
         self.cap = min(cfg.blocks, math.ceil(cfg.max_bits / self.bits))
         self.points = [_PointTally(pi, float(snr_db)) for pi, snr_db in enumerate(cfg.snr_db)]
 
@@ -455,24 +471,34 @@ class _BerStream:
 
     def _next_chunk(self):
         live = [p for p in self.points if p.reason is None]
-        # Chunks the predictions say are needed, earliest point first.  A
-        # point with no block folded yet needs only its first chunk.
+        # Chunks the predictions say are needed, earliest point first.  In a
+        # pool, a point with no block folded yet needs only its first chunk.
+        # One worker's predictions are sure, whatever the chunks in flight hold.
         for p in live:
-            if p.taken or not p.next_block:
+            if p.taken or not p.next_block or self.workers == 1:
                 stop = self._predicted_stop(p)
                 if p.next_block < stop:
                     return p, min(stop, p.next_block + self.most)
-        # Past every prediction: speculate on the earliest open point.
+        if self.workers == 1:
+            return None
+        # Past every prediction, a pool speculates on the earliest open point.
         for p in live:
             if p.next_block < self.cfg.blocks:
                 return p, min(self.cfg.blocks, p.next_block + self.most)
         return None
 
     def tasks(self):
-        while (chunk := self._next_chunk()) is not None:
+        """The chunk tasks, each picked when asked.  At one worker a None
+        means that no chunk is sure until the one in flight is folded."""
+        while any(p.reason is None for p in self.points):
+            if (chunk := self._next_chunk()) is None:
+                if self.workers > 1:
+                    return
+                yield None
+                continue
             p, b1 = chunk
             b0, p.next_block = p.next_block, b1
-            yield self.cfg, p.index, p.snr_db, b0, b1, self.lane
+            yield self.cfg, p.index, p.snr_db, b0, b1
 
     def stopped(self, task) -> bool:
         return self.points[task[1]].reason is not None
@@ -510,7 +536,7 @@ class _BerStream:
 def run_ber_experiment(cfg: BerExperimentConfig, workers: int = 1) -> TrialReport:
     stream = _BerStream(cfg, workers)
     try:
-        with _task_map(workers) as imap:
+        with _task_map(workers, stream.pairs) as imap:
             if cfg.channel == "rayleigh" and cfg.profile.max_delay > cfg.n_cp:
                 warnings.warn(f"channel memory {cfg.profile.max_delay} exceeds cyclic prefix "
                               f"{cfg.n_cp}; inter-block interference will leak", stacklevel=2)
@@ -811,13 +837,3 @@ def run_ici_experiment(cfg: IciConfig) -> IciReport:
     else:
         perm = derive_permutation(cfg.key, cfg.ell, cfg.n)
     return measure_ici(perm, cfg.trials, cfg.n, m=cfg.m, seed=cfg.seed)
-
-
-def ici_alpha_exact(perm: Permutation, n: int) -> np.ndarray:
-    """Closed form of the same coefficient for a single-symbol permutation:
-    alpha_k = (1/N) sum_n exp(2j pi k (pi[n] - n) / N)."""
-    if perm.map.shape != (n,):
-        raise ShapeError("closed form applies to single-symbol permutations")
-    k = np.arange(n)[:, None]
-    shift = (perm.map - np.arange(n))[None, :]
-    return np.exp(2j * np.pi * k * shift / n).mean(axis=1)

@@ -2,6 +2,7 @@
 cyclic-prefix/circular-convolution equivalence, tap and noise statistics,
 and the shipped five-tap profile."""
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from scipy.linalg import circulant
 
 from permofdm import (
     ChannelProfile,
+    EqualizerKind,
     FIVE_TAP_PROFILE,
     NoiseSpec,
     ShapeError,
@@ -18,13 +20,22 @@ from permofdm import (
     add_cp,
     apply_channel_stream,
     draw_rayleigh_channel,
+    equalizer_weights,
     freq_response,
     remove_cp,
-    rms_delay_spread,
 )
 from permofdm.channel import _NOISE_SLICE, awgn_draws
 
 PROFILE_FILE = Path(__file__).resolve().parents[1] / "profiles" / "paper_sec6.txt"
+
+
+def rms_delay_spread(profile: ChannelProfile) -> float:
+    """Mean-squared delay spread: the power-weighted second central moment
+    of the tap delays, in squared sample units."""
+    w = profile.mean_powers / profile.mean_powers.sum()
+    d = profile.delays.astype(np.float64)
+    mean = float(w @ d)
+    return float(w @ (d - mean) ** 2)
 
 
 class TestProfile:
@@ -323,3 +334,12 @@ class TestAwgn:
         assert abs(ns.snr * ns.sigma_z2 - 1.0) < 1e-12
         with pytest.raises(ShapeError):
             add_awgn(np.zeros(3, dtype=complex), -1.0, np.random.default_rng(0))
+
+    def test_zero_noise_power_has_an_infinite_snr(self):
+        ns = NoiseSpec(0.0)
+        assert ns.snr == math.inf and ns.snr_db == math.inf
+        # MMSE at an infinite SNR is zero-forcing without a floor
+        h = np.array([1.0, 0.5j, -2.0 + 1.0j, 0.25 - 0.75j])
+        w = equalizer_weights(h, EqualizerKind(variant="mmse"), snr=ns.snr)
+        assert np.allclose(w, 1.0 / h, rtol=1e-15, atol=0)
+        assert np.array_equal(add_awgn(h, ns, np.random.default_rng(0)), h)

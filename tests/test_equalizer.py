@@ -26,7 +26,6 @@ from permofdm import (
     fft_demodulate,
     freq_response,
     ifft_modulate,
-    noise_mixing_row,
     qfunc,
     semi_analytic_ber,
     SecretKey,
@@ -37,6 +36,15 @@ KEY = SecretKey(bytes(range(32)))
 
 def _random_h(rng, n):
     return rng.normal(size=n) + 1j * rng.normal(size=n)
+
+
+def noise_mixing_row(h: np.ndarray) -> np.ndarray:
+    """Row 0 of the circulant V = F^H diag(1/H) F that maps pre-FFT noise to
+    de-permuted noise: entry m is (1/N) sum_k eps^{-mk} / H_k."""
+    h = np.asarray(h, dtype=np.complex128)
+    if np.any(h == 0):
+        raise SingularChannelError("response has a zero bin; apply a floor first")
+    return np.fft.fft(1.0 / h) / h.size
 
 
 class TestWeights:

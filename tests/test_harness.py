@@ -2,6 +2,7 @@
 formatting, sample-mixing model, and per-subcarrier mixing measurement."""
 
 import itertools
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -28,7 +29,6 @@ from permofdm import (
     draw_rayleigh_channel,
     encrypt_block,
     freq_response,
-    ici_alpha_exact,
     measure_ici,
     mixing_map,
     qfunc,
@@ -40,6 +40,14 @@ from permofdm import (
 )
 
 KEY = SecretKey(bytes(range(32)))
+
+
+def ici_alpha_exact(perm: Permutation, n: int) -> np.ndarray:
+    """Closed form of measure_ici's alpha for a single-symbol permutation:
+    alpha_k = (1/N) sum_n exp(2j pi k (pi[n] - n) / N)."""
+    k = np.arange(n)[:, None]
+    shift = (perm.map - np.arange(n))[None, :]
+    return np.exp(2j * np.pi * k * shift / n).mean(axis=1)
 
 
 class TestCsvFormat:
@@ -232,38 +240,73 @@ class TestBerExperiment:
             assert run_ber_experiment(cfg, workers=workers).to_csv() == a.to_csv()
 
     # Transpose blocks of 128 * (128 + 16) = 18,432 framed samples, over the
-    # chunk budget, so a one-worker run draws their noise on the lane.
+    # chunk budget, so a one-worker run computes them two at a time.  Each
+    # point's first two blocks are sure to be taken and run as pairs; the
+    # last point then takes blocks 2-4 one at a time, alone.
     LANE = BerExperimentConfig(seed=41, n=128, n_cp=16, snr_db=(0.0, 12.0, 24.0), blocks=6,
                                min_blocks=2, min_errors=2000, max_bits=5 * 128 * 128 * 2)
-    # Its rows, captured before the noise lane existed.
+    # Its rows, captured before blocks ran on a second thread.
     LANE_ROWS = ["ber,128,4,transpose,zf,0,0,2,17570,0.268097,15151,0.462372,0.00339148",
                  "ber,128,4,transpose,zf,12,0,2,7719,0.117783,7021,0.214264,0.002468",
                  "ber,128,4,transpose,zf,24,0,5,0,0,0,0,0"]
 
     def test_lane_runs_keep_the_csv_at_one_two_and_three_workers(self, monkeypatch):
         import threading
-        lanes = []
+        chunks, draws = [], []
 
-        def recording(*args, fn=harness.awgn_draws):
-            lanes.append(threading.current_thread() is not threading.main_thread())
+        def on_main():
+            return threading.current_thread() is threading.main_thread()
+
+        def entry(task, buffers=None, lane=None, fn=harness._ber_chunk_entry):
+            chunks.append((task[1], task[3], task[4], on_main(), lane is not None))
+            return fn(task, buffers, lane)
+
+        def drawing(*args, fn=harness.awgn_draws):
+            draws.append(on_main())
             return fn(*args)
-        monkeypatch.setattr(harness, "awgn_draws", recording)
+        monkeypatch.setattr(harness, "_ber_chunk_entry", entry)
+        monkeypatch.setattr(harness, "awgn_draws", drawing)
         serial = run_ber_experiment(self.LANE)
         assert serial.to_csv() == "\n".join([CSV_HEADER, *self.LANE_ROWS]) + "\n"
         assert [s.reason for s in serial.stops] == ["error-budget", "error-budget", "bit-cap"]
-        assert lanes == [True] * 9  # one helper thread per one-block chunk
+        # a pair runs its first block on the helper and its second here
+        pairs = [(p, b, b + 1, b == 1, False) for p in range(3) for b in (0, 1)]
+        # a block with no sure twin runs here, with its noise drawn on the helper
+        lone = [(2, b, b + 1, True, True) for b in (2, 3, 4)]
+        assert sorted(chunks) == sorted(pairs + lone)
+        assert sorted(draws) == [False] * 6 + [True] * 3
+        monkeypatch.undo()
         for workers in (2, 3):
             pooled = run_ber_experiment(self.LANE, workers=workers)
             assert pooled.to_csv() == serial.to_csv()
             assert [s.reason for s in pooled.stops] == [s.reason for s in serial.stops]
 
-    def test_lane_runs_only_for_serial_blocks_over_the_chunk_budget(self):
+    def test_one_worker_hands_out_only_sure_chunks(self):
         small = BerExperimentConfig(seed=1, n=64, n_cp=16)  # 5,120 samples per block
-        assert harness._BerStream(self.LANE, 1).lane
-        assert not harness._BerStream(self.LANE, 2).lane
-        assert not harness._BerStream(small, 1).lane
+        assert harness._BerStream(self.LANE, 1).pairs
+        assert not harness._BerStream(self.LANE, 2).pairs
+        assert not harness._BerStream(small, 1).pairs
+        # Nothing folded: each point is sure of min_blocks = 2 blocks, and
+        # then nothing is sure until a chunk in flight is folded.
         tasks = harness._BerStream(self.LANE, 1).tasks()
-        assert [task[5] for task in itertools.islice(tasks, 3)] == [True] * 3
+        assert [task and task[1:] for task in itertools.islice(tasks, 7)] == [
+            (p, snr, b, b + 1) for p, snr in enumerate(self.LANE.snr_db) for b in (0, 1)] + [None]
+        # A pool asks again before results come back, and speculates.
+        tasks = harness._BerStream(self.LANE, 2).tasks()
+        assert None not in itertools.islice(tasks, 8)
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(0, 2 ** 64 - 1), st.integers(1, 7), st.integers(0, 4),
+           st.sampled_from([0, 1, 3000, 40000, 10 ** 9]),
+           st.lists(st.floats(-5.0, 40.0), min_size=1, max_size=3))
+    def test_one_worker_computes_the_blocks_taken_of_oversized_blocks(
+            self, seed, blocks, min_blocks, min_errors, snr_db):
+        cfg = BerExperimentConfig(seed=seed, n=128, n_cp=16, snr_db=tuple(snr_db),
+                                  blocks=blocks, min_blocks=min_blocks, min_errors=min_errors)
+        serial = run_ber_experiment(cfg)
+        assert [(s.submitted, s.cancelled) for s in serial.stops] == [
+            (p.trials, 0) for p in serial.points]
+        assert run_ber_experiment(cfg, workers=2).to_csv() == serial.to_csv()
 
     @pytest.mark.parametrize("cfg", [
         BerExperimentConfig(seed=13, n=64, snr_db=(40.0,), blocks=60,
@@ -428,12 +471,17 @@ class TestBerExperiment:
         dict(n=4, n_cp=2, interleaver="keyed", l_depth=2, channel="awgn"),
         dict(n=8, n_cp=0, interleaver="transpose", channel="awgn"),
     ]), st.integers(0, 2 ** 64 - 1), st.integers(0, 3), st.integers(0, 6), st.integers(1, 6),
-        st.floats(-5.0, 30.0), st.booleans())
+        st.floats(-5.0, 30.0), st.sampled_from(["own", "buffers", "lane"]))
     def test_one_chunk_counts_like_one_block_chunks(self, kwargs, seed, point, b0, count, snr,
-                                                    lane):
+                                                    placement):
         cfg = BerExperimentConfig(seed=seed, blocks=20, snr_db=(snr,), **kwargs)
-        chunk = harness._ber_chunk_entry((cfg, point, snr, b0, b0 + count, lane))
-        single = [harness._ber_chunk_entry((cfg, point, snr, b, b + 1, False))
+        task = (cfg, point, snr, b0, b0 + count)
+        buffers = harness._chain_buffers(task, {})  # a helper's
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            chunk = harness._ber_chunk_entry(task, **{
+                "own": {}, "buffers": dict(buffers=buffers),
+                "lane": dict(lane=(helper.submit, buffers))}[placement])
+        single = [harness._ber_chunk_entry((cfg, point, snr, b, b + 1))
                   for b in range(b0, b0 + count)]
         assert chunk.shape == (count, 2)
         assert np.array_equal(chunk, np.concatenate(single))
@@ -449,7 +497,7 @@ class TestBerExperiment:
                 return fn(x, p, **kwargs)
             monkeypatch.setattr(harness, name, counting)
         cfg = BerExperimentConfig(seed=4, blocks=20, snr_db=(8.0,), **kwargs)
-        assert harness._ber_chunk_entry((cfg, 0, 8.0, 2, 7, False)).shape == (5, 2)
+        assert harness._ber_chunk_entry((cfg, 0, 8.0, 2, 7)).shape == (5, 2)
         assert calls == {"encrypt_block": 1, "decrypt_block": 1}
 
     def test_cp_shorter_than_channel_warns(self):
@@ -734,8 +782,6 @@ class TestIciMeasurement:
             measure_ici(Permutation.identity(8), trials=0, n=8)
         with pytest.raises(ShapeError):
             measure_ici(Permutation.identity(8), trials=10, n=0)
-        with pytest.raises(ShapeError):
-            ici_alpha_exact(Permutation.identity(12), 6)
 
     @pytest.mark.parametrize("perm", ["identity", "reversal", "random", "transpose", "keyed"])
     def test_config_validation(self, perm):
@@ -757,7 +803,7 @@ class TestChainBuffers:
                                     snr_db=(6.0,), blocks=40, min_errors=80, key=KEY),
                 BerExperimentConfig(seed=33, n=8, interleaver="none", n_cp=0, channel="awgn",
                                     snr_db=(3.0,), blocks=25),
-                TestBerExperiment.LANE]  # each chunk of it starts a noise lane
+                TestBerExperiment.LANE]  # its chunks run on a helper thread too
         serial = [run_ber_experiment(cfg).to_csv() for cfg in cfgs]
         assert "buffers" not in vars(harness._chain_cache)
         start = threading.Barrier(len(cfgs))
@@ -790,9 +836,13 @@ class TestChainBuffers:
             run_ber_experiment(BerExperimentConfig(seed=3, n=16, blocks=2))
         assert "buffers" not in vars(harness._chain_cache)
 
-    def test_lane_error_reaches_the_caller_and_leaves_no_thread(self, monkeypatch):
+    # Every chunk of LONE runs alone, with its noise drawn on the helper.
+    LONE = BerExperimentConfig(seed=41, n=128, n_cp=16, snr_db=(24.0,), blocks=3, min_blocks=1,
+                               min_errors=2000)
+
+    @pytest.mark.parametrize("cfg", [TestBerExperiment.LANE, LONE], ids=["pairs", "lone"])
+    def test_lane_error_reaches_the_caller_and_leaves_no_thread(self, monkeypatch, cfg):
         import threading
-        cfg = TestBerExperiment.LANE
         want = run_ber_experiment(cfg).to_csv()
         threads = threading.active_count()
 
@@ -806,26 +856,42 @@ class TestChainBuffers:
         monkeypatch.undo()
         assert run_ber_experiment(cfg).to_csv() == want
 
-    def test_lane_is_joined_when_the_signal_path_raises(self, monkeypatch):
+    def test_package_import_loads_no_thread_pool(self):
+        # the helper's thread pool module loads with the first run that uses it
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+        code = ("import sys, permofdm, permofdm.cli; "
+                "print('concurrent.futures.thread' in sys.modules)")
+        src = str(Path(harness.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, timeout=60)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("failing", ["helper", "caller"])
+    def test_lane_is_joined_when_the_signal_path_raises(self, monkeypatch, failing):
         import threading
         import time
         done = []
 
-        def slow(*args, fn=harness.awgn_draws):
+        def channel(*args, fn=harness.apply_channel_stream, **kwargs):
+            on_helper = threading.current_thread() is not threading.main_thread()
+            if on_helper == (failing == "helper"):
+                raise RuntimeError("channel failed")
             time.sleep(0.05)
-            out = fn(*args)
-            done.append(True)
+            out = fn(*args, **kwargs)
+            done.append(on_helper)
             return out
-
-        def fail(*args, **kwargs):
-            raise RuntimeError("channel failed")
-        monkeypatch.setattr(harness, "awgn_draws", slow)
-        monkeypatch.setattr(harness, "apply_channel_stream", fail)
+        monkeypatch.setattr(harness, "apply_channel_stream", channel)
         threads = threading.active_count()
         with pytest.raises(RuntimeError, match="channel failed"):
             run_ber_experiment(TestBerExperiment.LANE)
-        # the draws had finished before the chunk returned
-        assert done == [True] and threading.active_count() == threads
+        # the other block of the first pair had finished before the run raised
+        assert done == [failing == "caller"] and threading.active_count() == threads
 
     def test_steady_chunk_allocates_little(self):
         # A transpose n=256 block is 69,632 framed samples (1.1 MB each
@@ -833,10 +899,10 @@ class TestChainBuffers:
         import tracemalloc
         cfg = BerExperimentConfig(seed=5, n=256, snr_db=(10.0,), blocks=4)
         try:
-            harness._ber_chunk_entry((cfg, 0, 10.0, 0, 1, True))
+            harness._ber_chunk_entry((cfg, 0, 10.0, 0, 1))
             tracemalloc.start()
             try:
-                harness._ber_chunk_entry((cfg, 0, 10.0, 1, 2, True))
+                harness._ber_chunk_entry((cfg, 0, 10.0, 1, 2))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
