@@ -6,7 +6,6 @@ reference profile used by the stock experiments ships as
 profiles/paper_sec6.txt.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,7 +68,7 @@ class NoiseSpec:
     @property
     def snr(self) -> float:
         """1 / sigma_z2; infinite for a zero noise power."""
-        return 1.0 / self.sigma_z2 if self.sigma_z2 else math.inf
+        return 1.0 / self.sigma_z2 if self.sigma_z2 else np.inf
 
     @property
     def snr_db(self) -> float:
