@@ -9,18 +9,21 @@ are grouped into tasks.
 
 Per-point stopping for BER runs: blocks accumulate until at least
 min_errors bit errors AND min_blocks blocks have been seen, or until the
-block or total-bit cap is hit.  The report records which of the three
-stopped each point, outside the CSV.
+block or total-bit cap is hit.  SER and recovery points take a fixed
+count of tasks (_SumStream), so they stop at their block cap.  The report
+records which rule stopped each point, outside the CSV.
 
-A BER task is a chunk of consecutive blocks of one point, which runs
-through the link chain once as a stack, in two buffers reused from chunk
-to chunk (_chain_buffers).  Every point of a run goes through one task
-stream (_BerStream): each chunk ends at the point's predicted stop, and a
-pool fills its window with the chunks the predictions say are needed,
-earliest point first, before it computes past any prediction.  One worker
-computes no block past a stop; when its blocks are over the chunk budget,
-a helper thread computes a second block that is sure to be taken beside
-the calling thread's, or draws the noise of a block that has no such twin.
+One driver (_run) computes the tasks of every run, and folds each result
+into the run's stream as soon as it is taken.  A BER task is a chunk of
+consecutive blocks of one point, which runs through the link chain once as
+a stack, in two buffers reused from chunk to chunk (_chain_buffers).  Every
+point of a run goes through one task stream (_BerStream): each chunk ends
+at the point's predicted stop, and a pool fills its window with the chunks
+the predictions say are needed, earliest point first, before it computes
+past any prediction.  One worker computes no block past a stop; when its
+blocks are over the chunk budget, a helper thread computes a second block
+that is sure to be taken beside the calling thread's, or draws the noise
+of a block that has no such twin.
 """
 
 import concurrent.futures
@@ -31,8 +34,8 @@ import threading
 import warnings
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Literal, Optional, get_args
 
 import numpy as np
@@ -131,9 +134,9 @@ StopReason = Literal["error-budget", "bit-cap", "block-cap"]
 
 @dataclass(frozen=True)
 class PointStop:
-    """How one BER point ended, kept out of the CSV: the rule that stopped
-    it, the blocks handed to the workers, and how many of those were
-    cancelled before they started."""
+    """How one point of a Monte-Carlo run ended, kept out of the CSV: the
+    rule that stopped it, the blocks handed to the workers, and how many of
+    those were cancelled before they started."""
 
     reason: StopReason
     submitted: int
@@ -143,7 +146,7 @@ class PointStop:
 @dataclass(frozen=True)
 class TrialReport:
     points: tuple
-    stops: tuple = ()  # one PointStop per point of a BER run
+    stops: tuple = ()  # one PointStop per point of a Monte-Carlo run
 
     def to_csv(self) -> str:
         return "\n".join([CSV_HEADER] + [p.csv_row() for p in self.points]) + "\n"
@@ -192,73 +195,81 @@ def _check_workers(workers: int) -> None:
         raise ShapeError(f"workers must be >= 1, got {workers}")
 
 
-@contextmanager
-def _task_map(workers: int, pairs: bool = False):
-    """Yield imap(entry, tasks, drop=None), a lazy map that yields each task
-    with its result, in task order.
+def _run(stream, entry, workers: int) -> TrialReport:
+    """Compute a stream's tasks through entry, fold each result into the
+    stream as soon as it is taken, in task order, and return stream.report().
 
-    With one worker a task is computed only when its result is taken, so a
-    caller that stops early computes nothing past the stop.  With pairs set
-    (BER chunks), a helper thread kept for the map computes the first of two
-    tasks as entry(task, buffers), in chain buffers that this thread
-    allocates, while this thread computes the second.  `tasks` then yields
-    only tasks sure to be taken, and None when the next one is not sure
-    until the first is folded; the first runs here alone, as entry(task,
-    lane=(submit, buffers)), and the helper draws its noise.  A pool keeps
-    2 * workers tasks in flight and asks `tasks` for the next one only after
-    a result has been taken, so later tasks can depend on earlier results.
-    After each result, the tasks in flight that drop(task) selects are let
-    go: one not yet started is cancelled and comes back at once with the
-    result None, and one already running is not waited for.  When the caller
-    stops, the tasks not yet started are cancelled.
+    stream.tasks() picks each task only when asked, from the results folded
+    by then.  One worker computes a task only when its result is taken, so
+    it computes nothing past a stop.  With stream.pairs (BER chunks), a
+    helper thread kept for the run computes the first of two tasks, in its
+    own chain buffers, while this thread computes the second.  tasks() then
+    yields only tasks sure to be taken, and None when the next one is not
+    sure until the first is folded; the first then runs here alone, as
+    entry(task, lane=submit), and the helper draws its noise.  A pool keeps
+    2 * workers tasks in flight.  After each result, those whose point has
+    stopped(task) are let go: one not yet started is cancelled and folded as
+    None, and one already running is not waited for.  When the run ends or
+    raises, the tasks not yet started are cancelled.
     """
     _check_workers(workers)
-    if workers == 1 and pairs:
-        # The thread module of concurrent.futures loads here, not on import.
-        with concurrent.futures.ThreadPoolExecutor(max_workers=1) as helper:
-            spare = {}  # the helper's chain buffers
-
-            def paired(entry, tasks, drop=None):
-                tasks = iter(tasks)
+    try:
+        if workers == 1 and stream.pairs:
+            # The thread module of concurrent.futures loads here, not on import.
+            with concurrent.futures.ThreadPoolExecutor(max_workers=1) as helper:
+                tasks = stream.tasks()
                 for task in tasks:
-                    buffers = _chain_buffers(task, spare)
                     if (twin := next(tasks, None)) is None:
-                        yield task, entry(task, lane=(helper.submit, buffers))
-                        continue
-                    first = helper.submit(entry, task, buffers)
-                    second = entry(twin)
-                    yield task, first.result()
-                    yield twin, second
-            yield paired
-        return
-    if workers == 1:
-        def serial(entry, tasks, drop=None):
-            return ((task, entry(task)) for task in tasks)
-        yield serial
-        return
-    with ProcessPoolExecutor(max_workers=workers) as executor:
-        def imap(entry, tasks, drop=None):
-            tasks, pending = iter(tasks), deque()
+                        stream.fold(task, entry(task, lane=helper.submit))
+                    else:
+                        first, second = helper.submit(entry, task), entry(twin)
+                        stream.fold(task, first.result())
+                        stream.fold(twin, second)
+        elif workers == 1:
+            for task in stream.tasks():
+                stream.fold(task, entry(task))
+        else:
+            executor = ProcessPoolExecutor(max_workers=workers)
             try:
+                tasks, pending = stream.tasks(), deque()
                 while True:
-                    if drop is not None:
-                        kept, dropped = deque(), []
-                        for item in pending:
-                            (dropped if drop(item[0]) else kept).append(item)
-                        pending = kept
-                        for task, future in dropped:
-                            if future.cancel():
-                                yield task, None
-                    for task in itertools.islice(tasks, 2 * workers - len(pending)):
-                        pending.append((task, executor.submit(entry, task)))
+                    for task, future in [item for item in pending if stream.stopped(item[0])]:
+                        if future.cancel():
+                            stream.fold(task, None)
+                    pending = deque(item for item in pending if not stream.stopped(item[0]))
+                    pending.extend((task, executor.submit(entry, task))
+                                   for task in itertools.islice(tasks, 2 * workers - len(pending)))
                     if not pending:
-                        return
+                        break
                     task, future = pending.popleft()
-                    yield task, future.result()
+                    stream.fold(task, future.result())
             finally:
-                for _, future in pending:
-                    future.cancel()
-        yield imap
+                executor.shutdown(cancel_futures=True)
+    finally:
+        # the helper's chain buffers end with its thread, a pool's with its processes
+        vars(_chain_cache).pop("buffers", None)
+    return stream.report()
+
+
+class _SumStream:
+    """A fixed count of tasks per point, none cut short.  Each task returns
+    its (bit errors, bits, symbol errors, symbols), summed into its point,
+    task[1]; rows[point](*sums) is the point's CSV row."""
+
+    pairs = False
+
+    def __init__(self, tasks, rows, trials: int):
+        self.tasks, self.rows, self.sums = lambda: tasks, rows, [(0, 0, 0, 0)] * len(rows)
+        self.stops = (PointStop("block-cap", submitted=trials, cancelled=0),) * len(rows)
+
+    def stopped(self, task) -> bool:
+        return False
+
+    def fold(self, task, counts) -> None:
+        self.sums[task[1]] = tuple(map(sum, zip(self.sums[task[1]], counts)))
+
+    def report(self) -> TrialReport:
+        return TrialReport(tuple(row(*s) for row, s in zip(self.rows, self.sums)), self.stops)
 
 
 def _error_counts(tx_idx: np.ndarray, rx_idx: np.ndarray, k: int) -> np.ndarray:
@@ -347,33 +358,31 @@ def _chunk_permutation(cfg: BerExperimentConfig, point_index: int, b0: int, b1: 
 _chain_cache = threading.local()
 
 
-def _chain_buffers(task, cache=None):
+def _chain_buffers(task):
     """The two (count, l_eff, framed) complex128 buffers that the signal
-    stages of a chunk task write in turn.  They are kept in `cache`, a dict
-    (this thread's by default), and reused while l_eff and the framed length
-    stay and count fits, so stages take no fresh pages.  run_ber_experiment
-    drops this thread's."""
+    stages of a chunk task write in turn.  They are kept per thread and
+    reused while l_eff and the framed length stay and count fits, so stages
+    take no fresh pages.  _run drops the calling thread's."""
     cfg, count = task[0], task[4] - task[3]
-    cache = vars(_chain_cache) if cache is None else cache
     shape = (cfg.symbols_per_block, cfg.n + cfg.n_cp)
-    cached = cache.get("buffers")
+    cached = getattr(_chain_cache, "buffers", None)
     if cached is None or cached[0].shape[1:] != shape or len(cached[0]) < count:
-        cached = cache["buffers"] = [np.empty((count, *shape), dtype=np.complex128)
-                                     for _ in range(2)]
+        cached = _chain_cache.buffers = [np.empty((count, *shape), dtype=np.complex128)
+                                         for _ in range(2)]
     return [buf[:count] for buf in cached]
 
 
-def _ber_chunk_entry(task, buffers=None, lane=None):
+def _ber_chunk_entry(task, lane=None):
     """Blocks [b0, b1) of one point: (b1 - b0, 2) bit and symbol errors per block.
 
     Block b draws its channel taps, bits and noise, in that order, from
     default_rng((seed, point_index, b)); every stage then runs once on the
-    blocks stacked along a leading axis, writing into whichever of the two
-    chain buffers (`buffers`, or this thread's) its input is not in.  The
-    noise is drawn into the buffer the convolution left free and then added;
-    given a lane (submit, idle buffers), the lane draws it into the first
-    idle buffer while the signal path runs.  So a chunk allocates only the
-    bits and the narrow point indices at full size.
+    blocks stacked along a leading axis, writing into whichever of this
+    thread's two chain buffers its input is not in.  The noise is drawn into
+    the buffer the convolution left free and then added; given a lane (an
+    idle helper thread's submit), the helper draws it into the first of its
+    own chain buffers while the signal path runs.  So a chunk allocates only
+    the bits and the narrow point indices at full size.
     """
     cfg, point_index, snr_db, b0, b1 = task
     rngs = [np.random.default_rng((cfg.seed, point_index, b)) for b in range(b0, b1)]
@@ -381,7 +390,7 @@ def _ber_chunk_entry(task, buffers=None, lane=None):
     const = QamConstellation.square(cfg.m)
     k = const.bits_per_symbol
     perm = _chunk_permutation(cfg, point_index, b0, b1)  # built before the buffers fill
-    a, b = buffers or _chain_buffers(task)
+    a, b = _chain_buffers(task)
 
     def spare(x, framed=False):
         """The chain buffer x is not in: framed, or its head as (count, l_eff, n)."""
@@ -401,8 +410,7 @@ def _ber_chunk_entry(task, buffers=None, lane=None):
     bits = np.stack([rng.integers(0, 2, size=(l_eff, n, k), dtype=np.uint8) for rng in rngs])
     noise = NoiseSpec.from_snr_db(snr_db)
     if lane:
-        submit, (idle, _) = lane
-        draws = submit(awgn_draws, noise, rngs, as_noise(idle))
+        draws = lane(lambda: awgn_draws(noise, rngs, as_noise(_chain_buffers(task)[0])))
     tx_idx, x = qam_symbols(bits, const, out=spare(b))
     x = ifft_modulate(x, out=spare(x))
     if perm is not None:
@@ -534,18 +542,11 @@ class _BerStream:
 
 
 def run_ber_experiment(cfg: BerExperimentConfig, workers: int = 1) -> TrialReport:
-    stream = _BerStream(cfg, workers)
-    try:
-        with _task_map(workers, stream.pairs) as imap:
-            if cfg.channel == "rayleigh" and cfg.profile.max_delay > cfg.n_cp:
-                warnings.warn(f"channel memory {cfg.profile.max_delay} exceeds cyclic prefix "
-                              f"{cfg.n_cp}; inter-block interference will leak", stacklevel=2)
-            for task, counts in imap(_ber_chunk_entry, stream.tasks(), stream.stopped):
-                stream.fold(task, counts)
-    finally:
-        # one worker ran the chunks in this thread; a pool's buffers end with it
-        vars(_chain_cache).pop("buffers", None)
-    return stream.report()
+    _check_workers(workers)  # a bad worker count is refused before any warning
+    if cfg.channel == "rayleigh" and cfg.profile.max_delay > cfg.n_cp:
+        warnings.warn(f"channel memory {cfg.profile.max_delay} exceeds cyclic prefix "
+                      f"{cfg.n_cp}; inter-block interference will leak", stacklevel=2)
+    return _run(_BerStream(cfg, workers), _ber_chunk_entry, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -613,15 +614,9 @@ def run_ser_attack_experiment(cfg: SerAttackConfig, workers: int = 1) -> TrialRe
     tasks = ((cfg, pi, m, k, ci, min(_SER_CHUNK, cfg.trials - start))
              for pi, (m, k) in enumerate(points)
              for ci, start in enumerate(range(0, cfg.trials, _SER_CHUNK)))
-    sums = [(0, 0, 0, 0)] * len(points)
-    with _task_map(workers) as imap:
-        for task, counts in imap(_ser_chunk_entry, tasks):
-            sums[task[1]] = tuple(map(sum, zip(sums[task[1]], counts)))
-    return TrialReport(points=tuple(
-        PointResult.from_counts(
-            "attack-ser", cfg.n, m, "sample-mix", "none", float(cfg.snr_db), int(k),
-            trials=cfg.trials, bit_errors=be, bits=nbits, symbol_errors=se, symbols=nsyms)
-        for (m, k), (be, nbits, se, nsyms) in zip(points, sums)))
+    rows = [partial(PointResult.from_counts, "attack-ser", cfg.n, m, "sample-mix", "none",
+                    float(cfg.snr_db), int(k), cfg.trials) for m, k in points]
+    return _run(_SumStream(tasks, rows, cfg.trials), _ser_chunk_entry, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +650,7 @@ class AttackRecoveryConfig:
 
 
 def _recovery_trial_entry(task):
-    cfg, trial_index = task
+    cfg, _, trial_index = task
     rng = np.random.default_rng((cfg.seed, 0, trial_index))
     size = cfg.size
     key = cfg.resolve_key()
@@ -669,18 +664,15 @@ def _recovery_trial_entry(task):
     obs = np.broadcast_to(encrypt_block(x, perm), (cfg.repeats, size))
     est = averaging_attack(x, add_awgn(obs, noise, rng))
     hits = int(round(recovery_rate(est, perm[0]) * size))
-    return hits, size
+    return 0, 0, size - hits, size  # a missed position is a symbol error
 
 
 def run_attack_recovery_experiment(cfg: AttackRecoveryConfig, workers: int = 1) -> TrialReport:
-    with _task_map(workers) as imap:
-        tasks = ((cfg, t) for t in range(cfg.trials))
-        hits, total = map(sum, zip(*(res for _, res in imap(_recovery_trial_entry, tasks))))
-    row = PointResult.from_counts(
-        "attack-recovery", cfg.size, 0, "fresh" if cfg.fresh_perm_per_block else "fixed",
-        "none", float(cfg.snr_db), int(cfg.repeats),
-        trials=total, bit_errors=0, bits=0, symbol_errors=total - hits, symbols=total)
-    return TrialReport(points=(row,))
+    row = partial(PointResult.from_counts, "attack-recovery", cfg.size, 0,
+                  "fresh" if cfg.fresh_perm_per_block else "fixed", "none", float(cfg.snr_db),
+                  int(cfg.repeats), cfg.trials * cfg.size)
+    tasks = ((cfg, 0, t) for t in range(cfg.trials))
+    return _run(_SumStream(tasks, [row], cfg.trials), _recovery_trial_entry, workers)
 
 
 # ---------------------------------------------------------------------------

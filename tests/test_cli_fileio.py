@@ -594,10 +594,12 @@ class TestSimulationCommands:
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     @pytest.mark.parametrize("cmd", ["simulate-ber", "simulate-attack-ser",
-                                     "simulate-attack-recovery"])
+                                     "simulate-attack-recovery",
+                                     # a cyclic prefix shorter than the channel warns
+                                     "simulate-ber --n 16 --n-cp 8 --blocks 1"])
     def test_workers_below_one_fail_cleanly(self, tmp_path, capsys, cmd, workers):
         out = tmp_path / "x.csv"
-        rc = main([cmd, "--seed", "1", "--workers", workers, "--out", str(out)])
+        rc = main([*cmd.split(), "--seed", "1", "--workers", workers, "--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err.strip().split("\n")
         assert err == [f"error: workers must be >= 1, got {workers}"]

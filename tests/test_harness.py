@@ -2,6 +2,7 @@
 formatting, sample-mixing model, and per-subcarrier mixing measurement."""
 
 import itertools
+import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -19,6 +20,7 @@ from permofdm import (
     NoiseSpec,
     Permutation,
     PointResult,
+    PointStop,
     QamConstellation,
     SecretKey,
     SerAttackConfig,
@@ -257,9 +259,9 @@ class TestBerExperiment:
         def on_main():
             return threading.current_thread() is threading.main_thread()
 
-        def entry(task, buffers=None, lane=None, fn=harness._ber_chunk_entry):
+        def entry(task, lane=None, fn=harness._ber_chunk_entry):
             chunks.append((task[1], task[3], task[4], on_main(), lane is not None))
-            return fn(task, buffers, lane)
+            return fn(task, lane)
 
         def drawing(*args, fn=harness.awgn_draws):
             draws.append(on_main())
@@ -476,11 +478,11 @@ class TestBerExperiment:
                                                     placement):
         cfg = BerExperimentConfig(seed=seed, blocks=20, snr_db=(snr,), **kwargs)
         task = (cfg, point, snr, b0, b0 + count)
-        buffers = harness._chain_buffers(task, {})  # a helper's
+        entry = harness._ber_chunk_entry
         with ThreadPoolExecutor(max_workers=1) as helper:
-            chunk = harness._ber_chunk_entry(task, **{
-                "own": {}, "buffers": dict(buffers=buffers),
-                "lane": dict(lane=(helper.submit, buffers))}[placement])
+            chunk = {"own": lambda: entry(task),
+                     "buffers": lambda: helper.submit(entry, task).result(),  # the helper's
+                     "lane": lambda: entry(task, lane=helper.submit)}[placement]()
         single = [harness._ber_chunk_entry((cfg, point, snr, b, b + 1))
                   for b in range(b0, b0 + count)]
         assert chunk.shape == (count, 2)
@@ -606,8 +608,18 @@ class TestSerAttackExperiment:
     def test_csv_matches_golden_rows(self, workers):
         cfg = SerAttackConfig(seed=23, n=16, m_values=(4, 16, 64), k_values=(0, 3, 16),
                               snr_db=20.0, trials=70)
-        csv = run_ser_attack_experiment(cfg, workers=workers).to_csv()
-        assert csv == "\n".join([CSV_HEADER, *self.GOLDEN]) + "\n"
+        report = run_ser_attack_experiment(cfg, workers=workers)
+        assert report.to_csv() == "\n".join([CSV_HEADER, *self.GOLDEN]) + "\n"
+        assert report.stops == (PointStop("block-cap", submitted=70, cancelled=0),) * 9
+
+    @pytest.mark.parametrize("workers", (2, 3))
+    def test_pool_error_reaches_the_caller_and_leaves_no_process(self, workers):
+        import multiprocessing
+        cfg = SerAttackConfig(seed=1, n=16, k_values=(0, 8), trials=200)
+        object.__setattr__(cfg, "snr_db", math.nan)  # past the config's own check
+        with pytest.raises(ShapeError, match="noise power must be finite"):
+            run_ser_attack_experiment(cfg, workers=workers)
+        assert multiprocessing.active_children() == []
 
     def test_validation(self):
         with pytest.raises(ShapeError):
@@ -678,8 +690,9 @@ class TestAttackRecoveryExperiment:
     def test_csv_matches_golden_rows(self, workers):
         for kwargs, row in self.GOLDEN:
             cfg = AttackRecoveryConfig(**kwargs)
-            csv = run_attack_recovery_experiment(cfg, workers=workers).to_csv()
-            assert csv == CSV_HEADER + "\n" + row + "\n", kwargs
+            report = run_attack_recovery_experiment(cfg, workers=workers)
+            assert report.to_csv() == CSV_HEADER + "\n" + row + "\n", kwargs
+            assert report.stops == (PointStop("block-cap", submitted=cfg.trials, cancelled=0),)
 
 
 class TestSnrAnalysis:
@@ -855,6 +868,19 @@ class TestChainBuffers:
         assert threading.active_count() == threads
         monkeypatch.undo()
         assert run_ber_experiment(cfg).to_csv() == want
+
+    def test_helper_buffers_end_with_the_run(self):
+        # The helper's two chain buffers are 2 x 295 KB at n=128; they end
+        # with its thread, and the calling thread's are dropped by the run.
+        import tracemalloc
+        run_ber_experiment(TestBerExperiment.LANE)  # a warm-up run
+        tracemalloc.start()
+        try:
+            run_ber_experiment(TestBerExperiment.LANE)
+            left = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert left < 64 * 1024
 
     def test_package_import_loads_no_thread_pool(self):
         # the helper's thread pool module loads with the first run that uses it
