@@ -259,7 +259,7 @@ class _SumStream:
     pairs = False
 
     def __init__(self, tasks, rows, trials: int):
-        self.tasks, self.rows, self.sums = lambda: tasks, rows, [(0, 0, 0, 0)] * len(rows)
+        self.tasks, self.rows, self.sums = (lambda: tasks), rows, [(0, 0, 0, 0)] * len(rows)
         self.stops = (PointStop("block-cap", submitted=trials, cancelled=0),) * len(rows)
 
     def stopped(self, task) -> bool:
