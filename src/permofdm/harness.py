@@ -20,10 +20,9 @@ a stack, in two buffers reused from chunk to chunk (_chain_buffers).  Every
 point of a run goes through one task stream (_BerStream): each chunk ends
 at the point's predicted stop, and a pool fills its window with the chunks
 the predictions say are needed, earliest point first, before it computes
-past any prediction.  One worker computes no block past a stop; when its
-blocks are over the chunk budget, a helper thread computes a second block
-that is sure to be taken beside the calling thread's, or draws the noise
-of a block that has no such twin.
+past any prediction.  One worker computes no block past a stop, except
+when its blocks are over the chunk budget: it then computes them on two
+threads of its own, which the stream schedules as a 2-worker pool.
 """
 
 import concurrent.futures
@@ -195,41 +194,29 @@ def _check_workers(workers: int) -> None:
         raise ShapeError(f"workers must be >= 1, got {workers}")
 
 
-def _run(stream, entry, workers: int) -> TrialReport:
+def _run(stream, entry, workers: int, threads: bool = False) -> TrialReport:
     """Compute a stream's tasks through entry, fold each result into the
     stream as soon as it is taken, in task order, and return stream.report().
 
     stream.tasks() picks each task only when asked, from the results folded
     by then.  One worker computes a task only when its result is taken, so
-    it computes nothing past a stop.  With stream.pairs (BER chunks), a
-    helper thread kept for the run computes the first of two tasks, in its
-    own chain buffers, while this thread computes the second.  tasks() then
-    yields only tasks sure to be taken, and None when the next one is not
-    sure until the first is folded; the first then runs here alone, as
-    entry(task, lane=submit), and the helper draws its noise.  A pool keeps
-    2 * workers tasks in flight.  After each result, those whose point has
-    stopped(task) are let go: one not yet started is cancelled and folded as
-    None, and one already running is not waited for.  When the run ends or
-    raises, the tasks not yet started are cancelled.
+    it computes nothing past a stop.  More workers are processes or, given
+    threads, threads of this process, each computing in its own chain
+    buffers; they keep 2 * workers tasks in flight.  After each result,
+    those whose point has stopped(task) are let go: one not yet started is
+    cancelled and folded as None, and one already running is not waited
+    for.  When the run ends or raises, the tasks not yet started are
+    cancelled.
     """
     _check_workers(workers)
     try:
-        if workers == 1 and stream.pairs:
-            # The thread module of concurrent.futures loads here, not on import.
-            with concurrent.futures.ThreadPoolExecutor(max_workers=1) as helper:
-                tasks = stream.tasks()
-                for task in tasks:
-                    if (twin := next(tasks, None)) is None:
-                        stream.fold(task, entry(task, lane=helper.submit))
-                    else:
-                        first, second = helper.submit(entry, task), entry(twin)
-                        stream.fold(task, first.result())
-                        stream.fold(twin, second)
-        elif workers == 1:
+        if workers == 1:
             for task in stream.tasks():
                 stream.fold(task, entry(task))
         else:
-            executor = ProcessPoolExecutor(max_workers=workers)
+            # The thread module of concurrent.futures loads here, not on import.
+            pool = concurrent.futures.ThreadPoolExecutor if threads else ProcessPoolExecutor
+            executor = pool(max_workers=workers)
             try:
                 tasks, pending = stream.tasks(), deque()
                 while True:
@@ -246,7 +233,7 @@ def _run(stream, entry, workers: int) -> TrialReport:
             finally:
                 executor.shutdown(cancel_futures=True)
     finally:
-        # the helper's chain buffers end with its thread, a pool's with its processes
+        # the calling thread's chain buffers; an executor's end with its threads or processes
         vars(_chain_cache).pop("buffers", None)
     return stream.report()
 
@@ -255,8 +242,6 @@ class _SumStream:
     """A fixed count of tasks per point, none cut short.  Each task returns
     its (bit errors, bits, symbol errors, symbols), summed into its point,
     task[1]; rows[point](*sums) is the point's CSV row."""
-
-    pairs = False
 
     def __init__(self, tasks, rows, trials: int):
         self.tasks, self.rows, self.sums = (lambda: tasks), rows, [(0, 0, 0, 0)] * len(rows)
@@ -372,17 +357,15 @@ def _chain_buffers(task):
     return [buf[:count] for buf in cached]
 
 
-def _ber_chunk_entry(task, lane=None):
+def _ber_chunk_entry(task):
     """Blocks [b0, b1) of one point: (b1 - b0, 2) bit and symbol errors per block.
 
     Block b draws its channel taps, bits and noise, in that order, from
     default_rng((seed, point_index, b)); every stage then runs once on the
     blocks stacked along a leading axis, writing into whichever of this
     thread's two chain buffers its input is not in.  The noise is drawn into
-    the buffer the convolution left free and then added; given a lane (an
-    idle helper thread's submit), the helper draws it into the first of its
-    own chain buffers while the signal path runs.  So a chunk allocates only
-    the bits and the narrow point indices at full size.
+    the buffer the convolution left free and then added.  So a chunk
+    allocates only the bits and the narrow point indices at full size.
     """
     cfg, point_index, snr_db, b0, b1 = task
     rngs = [np.random.default_rng((cfg.seed, point_index, b)) for b in range(b0, b1)]
@@ -397,10 +380,6 @@ def _ber_chunk_entry(task, lane=None):
         s = a if np.may_share_memory(x, b) else b
         return s if framed else s.reshape(-1)[:count * l_eff * n].reshape(count, l_eff, n)
 
-    def as_noise(buf):
-        """A framed chain buffer as the (count, 2, samples) float64 noise draws."""
-        return buf.view(np.float64).reshape(count, 2, -1)
-
     if cfg.channel == "awgn":
         taps = np.ones((count, 1), dtype=np.complex128)
     else:
@@ -409,15 +388,13 @@ def _ber_chunk_entry(task, lane=None):
 
     bits = np.stack([rng.integers(0, 2, size=(l_eff, n, k), dtype=np.uint8) for rng in rngs])
     noise = NoiseSpec.from_snr_db(snr_db)
-    if lane:
-        draws = lane(lambda: awgn_draws(noise, rngs, as_noise(_chain_buffers(task)[0])))
     tx_idx, x = qam_symbols(bits, const, out=spare(b))
     x = ifft_modulate(x, out=spare(x))
     if perm is not None:
         x = encrypt_block(x, perm, out=spare(x))
     x = add_cp(x, n_cp, out=spare(x, framed=True)).reshape(count, -1)
     x = apply_channel_stream(x, taps, out=spare(x, framed=True).reshape(count, -1))
-    z = draws.result() if lane else awgn_draws(noise, rngs, as_noise(spare(x, framed=True)))
+    z = awgn_draws(noise, rngs, spare(x, framed=True).view(np.float64).reshape(count, 2, -1))
     x.real += z[:, 0]
     x.imag += z[:, 1]
 
@@ -452,13 +429,15 @@ class _BerStream:
     """
 
     def __init__(self, cfg: BerExperimentConfig, workers: int):
-        self.cfg, self.workers = cfg, workers
+        self.cfg = cfg
         self.min_blocks = cfg.min_blocks if cfg.min_blocks is not None else min(200, cfg.blocks)
         self.syms = cfg.symbols_per_block * cfg.n
         self.bits = self.syms * QamConstellation.square(cfg.m).bits_per_symbol
         block = cfg.symbols_per_block * (cfg.n + cfg.n_cp)
         self.most = max(1, _CHUNK_SAMPLES // block)
-        self.pairs = workers == 1 and block > _CHUNK_SAMPLES  # a pool already fills the cores
+        # One worker computes blocks over the chunk budget on two threads.
+        self.threads = workers == 1 and block > _CHUNK_SAMPLES
+        self.workers = 2 if self.threads else workers
         self.cap = min(cfg.blocks, math.ceil(cfg.max_bits / self.bits))
         self.points = [_PointTally(pi, float(snr_db)) for pi, snr_db in enumerate(cfg.snr_db)]
 
@@ -467,8 +446,8 @@ class _BerStream:
 
         One worker predicts the fewest blocks that could meet the error
         budget, every bit wrong, so it computes no block past the stop.  A
-        pool extrapolates the point's running error rate, and with no error
-        yet predicts the block cap.
+        pool, or one worker's two threads, extrapolates the point's running
+        error rate, and with no error yet predicts the cap.
         """
         need = self.cfg.min_errors - p.bit_errors
         if need > 0 and self.workers > 1:
@@ -481,29 +460,23 @@ class _BerStream:
         live = [p for p in self.points if p.reason is None]
         # Chunks the predictions say are needed, earliest point first.  In a
         # pool, a point with no block folded yet needs only its first chunk.
-        # One worker's predictions are sure, whatever the chunks in flight hold.
+        # One worker folds each chunk before it asks, so it always finds one.
         for p in live:
             if p.taken or not p.next_block or self.workers == 1:
                 stop = self._predicted_stop(p)
                 if p.next_block < stop:
                     return p, min(stop, p.next_block + self.most)
-        if self.workers == 1:
-            return None
-        # Past every prediction, a pool speculates on the earliest open point.
+        # Past every prediction, a pool speculates on the earliest open point,
+        # up to its cap: no point takes a block past it.
         for p in live:
-            if p.next_block < self.cfg.blocks:
-                return p, min(self.cfg.blocks, p.next_block + self.most)
+            if p.next_block < self.cap:
+                return p, min(self.cap, p.next_block + self.most)
         return None
 
     def tasks(self):
-        """The chunk tasks, each picked when asked.  At one worker a None
-        means that no chunk is sure until the one in flight is folded."""
-        while any(p.reason is None for p in self.points):
-            if (chunk := self._next_chunk()) is None:
-                if self.workers > 1:
-                    return
-                yield None
-                continue
+        """The chunk tasks, each picked when asked; they end when every point
+        has stopped or, in a pool, when none is left to speculate on."""
+        while (chunk := self._next_chunk()) is not None:
             p, b1 = chunk
             b0, p.next_block = p.next_block, b1
             yield self.cfg, p.index, p.snr_db, b0, b1
@@ -546,7 +519,8 @@ def run_ber_experiment(cfg: BerExperimentConfig, workers: int = 1) -> TrialRepor
     if cfg.channel == "rayleigh" and cfg.profile.max_delay > cfg.n_cp:
         warnings.warn(f"channel memory {cfg.profile.max_delay} exceeds cyclic prefix "
                       f"{cfg.n_cp}; inter-block interference will leak", stacklevel=2)
-    return _run(_BerStream(cfg, workers), _ber_chunk_entry, workers)
+    stream = _BerStream(cfg, workers)
+    return _run(stream, _ber_chunk_entry, stream.workers, threads=stream.threads)
 
 
 # ---------------------------------------------------------------------------

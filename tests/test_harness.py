@@ -1,7 +1,6 @@
 """Experiment harness: reproducibility contract, stopping rules, CSV
 formatting, sample-mixing model, and per-subcarrier mixing measurement."""
 
-import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 
@@ -225,6 +224,17 @@ class TestBerExperiment:
         pt = run_ber_experiment(cfg).points[0]
         assert pt.trials == 2  # 8192 bits per block; cap crossed in block 2
 
+    @pytest.mark.parametrize("workers", (1, 2, 3))
+    def test_no_block_past_the_bit_cap_is_submitted(self, workers):
+        # The ber-transpose benchmark's stopping rule at n=128: every point
+        # stops by the bit cap after 6 of at most 16 blocks.
+        cfg = BerExperimentConfig(seed=7, n=128, snr_db=(6.0, 12.0, 18.0, 24.0), min_blocks=2,
+                                  blocks=16, min_errors=10 ** 6, max_bits=6 * 128 * 128 * 2)
+        report = run_ber_experiment(cfg, workers=workers)
+        assert [(p.trials, s.reason) for p, s in zip(report.points, report.stops)] == [
+            (6, "bit-cap")] * 4
+        assert all(s.submitted <= 6 for s in report.stops)
+
     def test_reproducible_and_worker_invariant(self):
         cfg = BerExperimentConfig(seed=14, n=32, snr_db=(8.0, 16.0), blocks=6)
         a = run_ber_experiment(cfg).to_csv()
@@ -242,9 +252,7 @@ class TestBerExperiment:
             assert run_ber_experiment(cfg, workers=workers).to_csv() == a.to_csv()
 
     # Transpose blocks of 128 * (128 + 16) = 18,432 framed samples, over the
-    # chunk budget, so a one-worker run computes them two at a time.  Each
-    # point's first two blocks are sure to be taken and run as pairs; the
-    # last point then takes blocks 2-4 one at a time, alone.
+    # chunk budget, so a one-worker run computes them on two threads.
     LANE = BerExperimentConfig(seed=41, n=128, n_cp=16, snr_db=(0.0, 12.0, 24.0), blocks=6,
                                min_blocks=2, min_errors=2000, max_bits=5 * 128 * 128 * 2)
     # Its rows, captured before blocks ran on a second thread.
@@ -259,9 +267,9 @@ class TestBerExperiment:
         def on_main():
             return threading.current_thread() is threading.main_thread()
 
-        def entry(task, lane=None, fn=harness._ber_chunk_entry):
-            chunks.append((task[1], task[3], task[4], on_main(), lane is not None))
-            return fn(task, lane)
+        def entry(task, fn=harness._ber_chunk_entry):
+            chunks.append(on_main())
+            return fn(task)
 
         def drawing(*args, fn=harness.awgn_draws):
             draws.append(on_main())
@@ -271,52 +279,54 @@ class TestBerExperiment:
         serial = run_ber_experiment(self.LANE)
         assert serial.to_csv() == "\n".join([CSV_HEADER, *self.LANE_ROWS]) + "\n"
         assert [s.reason for s in serial.stops] == ["error-budget", "error-budget", "bit-cap"]
-        # a pair runs its first block on the helper and its second here
-        pairs = [(p, b, b + 1, b == 1, False) for p in range(3) for b in (0, 1)]
-        # a block with no sure twin runs here, with its noise drawn on the helper
-        lone = [(2, b, b + 1, True, True) for b in (2, 3, 4)]
-        assert sorted(chunks) == sorted(pairs + lone)
-        assert sorted(draws) == [False] * 6 + [True] * 3
+        # every chunk, and every noise draw, ran on the run's own threads
+        assert len(draws) == len(chunks) > 0 and not any(chunks + draws)
         monkeypatch.undo()
         for workers in (2, 3):
             pooled = run_ber_experiment(self.LANE, workers=workers)
             assert pooled.to_csv() == serial.to_csv()
             assert [s.reason for s in pooled.stops] == [s.reason for s in serial.stops]
 
-    def test_one_worker_hands_out_only_sure_chunks(self):
+    def test_one_worker_hands_out_the_two_worker_chunks(self, monkeypatch):
         small = BerExperimentConfig(seed=1, n=64, n_cp=16)  # 5,120 samples per block
-        assert harness._BerStream(self.LANE, 1).pairs
-        assert not harness._BerStream(self.LANE, 2).pairs
-        assert not harness._BerStream(small, 1).pairs
-        # Nothing folded: each point is sure of min_blocks = 2 blocks, and
-        # then nothing is sure until a chunk in flight is folded.
-        tasks = harness._BerStream(self.LANE, 1).tasks()
-        assert [task and task[1:] for task in itertools.islice(tasks, 7)] == [
-            (p, snr, b, b + 1) for p, snr in enumerate(self.LANE.snr_db) for b in (0, 1)] + [None]
-        # A pool asks again before results come back, and speculates.
-        tasks = harness._BerStream(self.LANE, 2).tasks()
-        assert None not in itertools.islice(tasks, 8)
+        assert harness._BerStream(self.LANE, 1).threads
+        assert not harness._BerStream(self.LANE, 2).threads
+        assert not harness._BerStream(small, 1).threads
+        runs = []
+
+        def tasks(stream, fn=harness._BerStream.tasks):
+            for task in fn(stream):
+                runs[-1].append(task[1:])
+                yield task
+        monkeypatch.setattr(harness._BerStream, "tasks", tasks)
+        for workers in (1, 2):
+            runs.append([])
+            run_ber_experiment(self.LANE, workers=workers)
+        assert runs[0] == runs[1]
+        # the two threads speculate past the 2 + 2 + 5 blocks taken
+        assert len(runs[0]) > 9
 
     @settings(max_examples=12, deadline=None)
     @given(st.integers(0, 2 ** 64 - 1), st.integers(1, 7), st.integers(0, 4),
            st.sampled_from([0, 1, 3000, 40000, 10 ** 9]),
            st.lists(st.floats(-5.0, 40.0), min_size=1, max_size=3))
-    def test_one_worker_computes_the_blocks_taken_of_oversized_blocks(
+    def test_one_worker_computes_oversized_blocks_like_two_workers(
             self, seed, blocks, min_blocks, min_errors, snr_db):
         cfg = BerExperimentConfig(seed=seed, n=128, n_cp=16, snr_db=tuple(snr_db),
                                   blocks=blocks, min_blocks=min_blocks, min_errors=min_errors)
-        serial = run_ber_experiment(cfg)
-        assert [(s.submitted, s.cancelled) for s in serial.stops] == [
-            (p.trials, 0) for p in serial.points]
-        assert run_ber_experiment(cfg, workers=2).to_csv() == serial.to_csv()
+        one, two = (run_ber_experiment(cfg, workers=workers) for workers in (1, 2))
+        assert one.to_csv() == two.to_csv()
+        assert [s.submitted for s in one.stops] == [s.submitted for s in two.stops]
+        # each point computes at most the 3 other blocks in flight past its stop
+        for s, p in zip(one.stops, one.points):
+            assert 0 <= s.submitted - s.cancelled - p.trials <= 3
 
     @pytest.mark.parametrize("cfg", [
         BerExperimentConfig(seed=13, n=64, snr_db=(40.0,), blocks=60,
                             min_blocks=5, min_errors=10 ** 9, max_bits=10000),
         BerExperimentConfig(seed=13, n=64, snr_db=(0.0,), blocks=60,
                             min_blocks=4, min_errors=100),
-        LANE,
-    ], ids=["bit-cap", "error-budget", "noise-lane"])
+    ], ids=["bit-cap", "error-budget"])
     def test_one_worker_computes_only_the_blocks_taken(self, cfg):
         report = run_ber_experiment(cfg)
         assert [(s.submitted, s.cancelled) for s in report.stops] == [
@@ -473,7 +483,7 @@ class TestBerExperiment:
         dict(n=4, n_cp=2, interleaver="keyed", l_depth=2, channel="awgn"),
         dict(n=8, n_cp=0, interleaver="transpose", channel="awgn"),
     ]), st.integers(0, 2 ** 64 - 1), st.integers(0, 3), st.integers(0, 6), st.integers(1, 6),
-        st.floats(-5.0, 30.0), st.sampled_from(["own", "buffers", "lane"]))
+        st.floats(-5.0, 30.0), st.sampled_from(["own", "buffers"]))
     def test_one_chunk_counts_like_one_block_chunks(self, kwargs, seed, point, b0, count, snr,
                                                     placement):
         cfg = BerExperimentConfig(seed=seed, blocks=20, snr_db=(snr,), **kwargs)
@@ -482,7 +492,7 @@ class TestBerExperiment:
         with ThreadPoolExecutor(max_workers=1) as helper:
             chunk = {"own": lambda: entry(task),
                      "buffers": lambda: helper.submit(entry, task).result(),  # the helper's
-                     "lane": lambda: entry(task, lane=helper.submit)}[placement]()
+                     }[placement]()
         single = [harness._ber_chunk_entry((cfg, point, snr, b, b + 1))
                   for b in range(b0, b0 + count)]
         assert chunk.shape == (count, 2)
@@ -816,7 +826,7 @@ class TestChainBuffers:
                                     snr_db=(6.0,), blocks=40, min_errors=80, key=KEY),
                 BerExperimentConfig(seed=33, n=8, interleaver="none", n_cp=0, channel="awgn",
                                     snr_db=(3.0,), blocks=25),
-                TestBerExperiment.LANE]  # its chunks run on a helper thread too
+                TestBerExperiment.LANE]  # its chunks run on two threads of the run
         serial = [run_ber_experiment(cfg).to_csv() for cfg in cfgs]
         assert "buffers" not in vars(harness._chain_cache)
         start = threading.Barrier(len(cfgs))
@@ -849,7 +859,7 @@ class TestChainBuffers:
             run_ber_experiment(BerExperimentConfig(seed=3, n=16, blocks=2))
         assert "buffers" not in vars(harness._chain_cache)
 
-    # Every chunk of LONE runs alone, with its noise drawn on the helper.
+    # LONE has one point, so the run's two threads both compute its blocks.
     LONE = BerExperimentConfig(seed=41, n=128, n_cp=16, snr_db=(24.0,), blocks=3, min_blocks=1,
                                min_errors=2000)
 
@@ -870,8 +880,8 @@ class TestChainBuffers:
         assert run_ber_experiment(cfg).to_csv() == want
 
     def test_helper_buffers_end_with_the_run(self):
-        # The helper's two chain buffers are 2 x 295 KB at n=128; they end
-        # with its thread, and the calling thread's are dropped by the run.
+        # Each of the run's two threads keeps two chain buffers of 295 KB at
+        # n=128; they end with its thread.
         import tracemalloc
         run_ber_experiment(TestBerExperiment.LANE)  # a warm-up run
         tracemalloc.start()
@@ -883,7 +893,7 @@ class TestChainBuffers:
         assert left < 64 * 1024
 
     def test_package_import_loads_no_thread_pool(self):
-        # the helper's thread pool module loads with the first run that uses it
+        # the thread pool module loads with the first run that uses it
         import os
         import subprocess
         import sys
@@ -898,26 +908,37 @@ class TestChainBuffers:
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "False"
 
-    @pytest.mark.parametrize("failing", ["helper", "caller"])
+    # (point, first block) of LANE's first two chunks
+    FIRST = [(0, 0), (1, 0)]
+
+    @pytest.mark.parametrize("failing", FIRST, ids=["first", "second"])
     def test_lane_is_joined_when_the_signal_path_raises(self, monkeypatch, failing):
         import threading
         import time
-        done = []
+        running, done = threading.local(), []
+        together = threading.Barrier(2, timeout=60)  # the two threads reach the channel
+
+        def entry(task, fn=harness._ber_chunk_entry):
+            running.block = task[1], task[3]
+            return fn(task)
 
         def channel(*args, fn=harness.apply_channel_stream, **kwargs):
-            on_helper = threading.current_thread() is not threading.main_thread()
-            if on_helper == (failing == "helper"):
+            if running.block in self.FIRST:
+                together.wait()
+            if running.block == failing:
                 raise RuntimeError("channel failed")
             time.sleep(0.05)
             out = fn(*args, **kwargs)
-            done.append(on_helper)
+            done.append(running.block)
             return out
+        monkeypatch.setattr(harness, "_ber_chunk_entry", entry)
         monkeypatch.setattr(harness, "apply_channel_stream", channel)
         threads = threading.active_count()
         with pytest.raises(RuntimeError, match="channel failed"):
             run_ber_experiment(TestBerExperiment.LANE)
-        # the other block of the first pair had finished before the run raised
-        assert done == [failing == "caller"] and threading.active_count() == threads
+        # the other of the first two chunks had finished before the run raised
+        assert set(self.FIRST) - {failing} <= set(done)
+        assert threading.active_count() == threads
 
     def test_steady_chunk_allocates_little(self):
         # A transpose n=256 block is 69,632 framed samples (1.1 MB each
