@@ -260,8 +260,8 @@ def main(argv=None) -> int:
         try:
             return args.handler(args, args.parser)
         except (OSError, ValueError, MemoryError) as e:
-            # The package's errors are ValueErrors.  Sizes are not bounded when a
-            # config is built, so an array too large to allocate is a MemoryError.
+            # The package's errors are ValueErrors.  The run-size bounds of the
+            # configs allow arrays of up to 1 GiB, which a small machine may refuse.
             print(f"error: {e or type(e).__name__}", file=sys.stderr)
             return 2
 

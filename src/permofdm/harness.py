@@ -33,7 +33,7 @@ import threading
 import warnings
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from typing import Literal, Optional, get_args
 
@@ -92,6 +92,8 @@ _CHUNK_SAMPLES = 8192
 
 @dataclass(frozen=True)
 class PointResult:
+    """One CSV row: the fields, in the order declared, are the CSV_HEADER columns."""
+
     experiment: str
     n: int
     m: int
@@ -119,13 +121,9 @@ class PointResult:
                    symbol_errors, symbol_errors / symbols if symbols else 0.0, ci95)
 
     def csv_row(self) -> str:
-        cells = [
-            self.experiment, str(self.n), str(self.m), self.interleaver,
-            self.equalizer, _fmt(self.snr_db), str(self.k_mixed),
-            str(self.trials), str(self.bit_errors), _fmt(self.ber),
-            str(self.symbol_errors), _fmt(self.ser), _fmt(self.ci95),
-        ]
-        return ",".join(cells)
+        """The fields in the order declared: float fields as %.6g, the others by str."""
+        cells = [(f.type, getattr(self, f.name)) for f in fields(self)]
+        return ",".join(_fmt(v) if tp is float else str(v) for tp, v in cells)
 
 
 StopReason = Literal["error-budget", "bit-cap", "block-cap"]
@@ -192,6 +190,18 @@ def _check_channel_order(profile: ChannelProfile, n: int) -> None:
 def _check_workers(workers: int) -> None:
     if workers < 1:
         raise ShapeError(f"workers must be >= 1, got {workers}")
+
+
+# Run-size bounds, checked when a config is built (README "Config files"):
+# one array of a task holds at most _MAX_SAMPLES values, 1 GiB as
+# complex128, and one run passes at most _MAX_WORK samples through its chain.
+_MAX_SAMPLES = 2 ** 26
+_MAX_WORK = 2 ** 40
+
+
+def _check_size(what: str, amount: int, bound: int) -> None:
+    if amount > bound:
+        raise ShapeError(f"{what} must be at most {bound}, got {amount}")
 
 
 def _run(stream, entry, workers: int, threads: bool = False) -> TrialReport:
@@ -310,6 +320,13 @@ class BerExperimentConfig:
         QamConstellation.square(self.m)
         if not 0 <= self.n_cp <= self.n:
             raise ShapeError(f"n_cp={self.n_cp} outside [0, {self.n}]")
+        framed = self.n + self.n_cp
+        block = self.symbols_per_block * framed
+        _check_size("samples per block, (n, or l_depth if keyed) * (n + n_cp),", block,
+                    _MAX_SAMPLES)
+        _check_size("l_depth * (n + n_cp)", self.l_depth * framed, _MAX_SAMPLES)
+        _check_size("samples per run, blocks * len(snr_db) * samples per block,",
+                    self.blocks * len(self.snr_db) * block, _MAX_WORK)
         if self.channel == "rayleigh":
             _check_channel_order(self.profile, self.n)
         if self.min_errors < 0:
@@ -438,6 +455,7 @@ class _BerStream:
         # One worker computes blocks over the chunk budget on two threads.
         self.threads = workers == 1 and block > _CHUNK_SAMPLES
         self.workers = 2 if self.threads else workers
+        # The fewest blocks that reach a cap; exact, as the size bounds keep blocks * bits < 2**53.
         self.cap = min(cfg.blocks, math.ceil(cfg.max_bits / self.bits))
         self.points = [_PointTally(pi, float(snr_db)) for pi, snr_db in enumerate(cfg.snr_db)]
 
@@ -485,8 +503,8 @@ class _BerStream:
         return self.points[task[1]].reason is not None
 
     def fold(self, task, counts) -> None:
-        """Take a chunk's blocks in order up to the stop; counts is None for
-        a chunk cancelled before it started."""
+        """Take a chunk's blocks in order up to the stop, by the error budget or
+        at self.cap; counts is None for a chunk cancelled before it started."""
         cfg, p, (b0, b1) = self.cfg, self.points[task[1]], task[3:5]
         if counts is None:
             p.cancelled += b1 - b0
@@ -497,10 +515,8 @@ class _BerStream:
             p.symbol_errors += block_se
             if p.taken >= self.min_blocks and p.bit_errors >= cfg.min_errors:
                 p.reason = "error-budget"
-            elif p.taken * self.bits >= cfg.max_bits:
-                p.reason = "bit-cap"
-            elif p.taken == cfg.blocks:
-                p.reason = "block-cap"
+            elif p.taken == self.cap:
+                p.reason = "bit-cap" if p.taken * self.bits >= cfg.max_bits else "block-cap"
             if p.reason is not None:
                 return
 
@@ -552,6 +568,10 @@ class SerAttackConfig:
             raise ShapeError("k values must lie in [0, n]")
         if self.trials < 1:
             raise ShapeError("trials must be >= 1")
+        _check_size(f"samples per task, {_SER_CHUNK} * n,", _SER_CHUNK * self.n, _MAX_SAMPLES)
+        grid = len(self.m_values) * len(self.k_values)
+        _check_size("samples per run, len(m_values) * len(k_values) * trials * n,",
+                    grid * self.trials * self.n, _MAX_WORK)
         _check_snr_db((self.snr_db,))
 
 
@@ -617,6 +637,9 @@ class AttackRecoveryConfig:
             raise ShapeError("size must be >= 2")
         if self.repeats < 1 or self.trials < 1:
             raise ShapeError("repeats and trials must be >= 1")
+        _check_size("samples per trial, repeats * size,", self.repeats * self.size, _MAX_SAMPLES)
+        _check_size("samples per run, trials * repeats * size,",
+                    self.trials * self.repeats * self.size, _MAX_WORK)
         _check_snr_db((self.snr_db,))
 
     def resolve_key(self) -> SecretKey:
@@ -669,6 +692,9 @@ class SnrAnalysisConfig:
         QamConstellation.square(self.m)
         if self.blocks < 1:
             raise ShapeError("blocks must be >= 1")
+        _check_size("samples per point, blocks * n,", self.blocks * self.n, _MAX_SAMPLES)
+        _check_size("samples per run, len(snr_db) * blocks * n,",
+                    len(self.snr_db) * self.blocks * self.n, _MAX_WORK)
         if not 0 < self.zf_floor < math.inf:
             raise ShapeError("zf_floor must be positive and finite")
         _check_snr_db(self.snr_db)
@@ -677,25 +703,17 @@ class SnrAnalysisConfig:
 def analyze_snr(cfg: SnrAnalysisConfig) -> TrialReport:
     """Semi-analytic scrambled-ZF BER: the channel ensemble is seeded the
     same way as run_ber_experiment blocks, so a Monte-Carlo run with the
-    same seed sees the same realizations.  Its rows skip
-    PointResult.from_counts, because the BER is a closed form, not a count."""
+    same seed sees the same realizations.  Each row is from_counts of zero
+    counts, with the closed-form BER in place of the counted one."""
     rows = []
     for pi, snr_db in enumerate(cfg.snr_db):
         snr = NoiseSpec.from_snr_db(snr_db).snr
-        ensemble = []
-        for bi in range(cfg.blocks):
-            rng = np.random.default_rng((cfg.seed, pi, bi))
-            ensemble.append(freq_response(draw_rayleigh_channel(cfg.profile, rng), cfg.n))
+        rngs = (np.random.default_rng((cfg.seed, pi, bi)) for bi in range(cfg.blocks))
+        ensemble = [freq_response(draw_rayleigh_channel(cfg.profile, rng), cfg.n) for rng in rngs]
         ber = semi_analytic_ber(ensemble, snr, cfg.m, zf_floor=cfg.zf_floor)
-        rows.append(PointResult(
-            experiment="snr-analytic",
-            n=cfg.n, m=cfg.m,
-            interleaver="transpose", equalizer="zf",
-            snr_db=float(snr_db), k_mixed=0,
-            trials=cfg.blocks,
-            bit_errors=0, ber=ber,
-            symbol_errors=0, ser=0.0, ci95=0.0,
-        ))
+        rows.append(replace(PointResult.from_counts(
+            "snr-analytic", cfg.n, cfg.m, "transpose", "zf", float(snr_db), 0, cfg.blocks,
+            0, 0, 0, 0), ber=ber))
     return TrialReport(points=tuple(rows))
 
 
@@ -784,6 +802,11 @@ class IciConfig:
             raise ShapeError(f"unknown perm {self.perm!r}")
         if self.n < 1 or self.trials < 1:
             raise ShapeError(f"n and trials must be >= 1, got {self.n} and {self.trials}")
+        size = self.n * self.n if self.perm == "transpose" else self.n  # of the map
+        # measure_ici runs up to 4096 symbols, or one map, at a time
+        _check_size("samples per chunk, max(4096 * n, map size),", max(4096 * self.n, size),
+                    _MAX_SAMPLES)
+        _check_size("samples per run, trials * map size,", self.trials * size, _MAX_WORK)
         QamConstellation.square(self.m)
         if self.perm == "keyed" and self.key is None:
             raise ShapeError("perm 'keyed' needs a key")

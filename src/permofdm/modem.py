@@ -41,8 +41,8 @@ class QamConstellation:
     @classmethod
     def square(cls, M: int) -> "QamConstellation":
         k = (M - 1).bit_length()
-        if M < 4 or (1 << k) != M or k % 2 != 0:
-            raise ShapeError(f"M must be an even power of two >= 4, got {M}")
+        if M < 4 or (1 << k) != M or k % 2 != 0 or k > 16:
+            raise ShapeError(f"M must be an even power of two in [4, 2**16], got {M}")
         bpa = k // 2
         L = 1 << bpa
         scale = 1.0 / np.sqrt(2.0 * (L * L - 1) / 3.0)

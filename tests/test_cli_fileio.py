@@ -8,6 +8,8 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -875,15 +877,19 @@ def test_every_command_exits_cleanly(tmp_path, monkeypatch, capsys, argv, files)
     assert code == 0 or (code == 2 and "error:" in err.strip().split("\n")[-1]), (code, err)
 
 
-# Under this address-space limit (the one the faults were found at) each
-# run asks numpy for terabytes at once, whatever the machine's overcommit policy.
-_LIMITED_MAIN = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (4096000000,) * 2); "
-                 "from permofdm.cli import main; sys.exit(main(sys.argv[1:]))")
+# Under an address-space limit 128 MiB above what the imported CLI maps, each
+# run, within the run-size bounds, asks numpy for a 512 MiB or 1 GiB array at once.
+_LIMITED_MAIN = ("import resource, sys; from permofdm.cli import main; "
+                 "pages = int(open('/proc/self/statm').read().split()[0]); "
+                 "mapped = pages * resource.getpagesize(); "
+                 "resource.setrlimit(resource.RLIMIT_AS, (mapped + 2 ** 27,) * 2); "
+                 "sys.exit(main(sys.argv[1:]))")
 
 
 @pytest.mark.parametrize("argv", [
-    ["simulate-attack-recovery", "--seed", "1", "--repeats", str(10 ** 10), "--trials", "1"],
-    ["measure-ici", "--seed", "0", "--n", str(2 ** 20), "--perm", "transpose", "--trials", "1"],
+    ["simulate-attack-recovery", "--seed", "1", "--size", "64", "--repeats", str(2 ** 20),
+     "--trials", "1"],
+    ["measure-ici", "--seed", "0", "--n", "8192", "--perm", "transpose", "--trials", "1"],
 ], ids=["attack-recovery", "measure-ici"])
 def test_allocation_failure_is_one_error_line(tmp_path, argv):
     src = str(Path(permofdm.__file__).resolve().parents[1])
@@ -895,4 +901,32 @@ def test_allocation_failure_is_one_error_line(tmp_path, argv):
     assert res.returncode == 2, res.stderr
     (line,) = res.stderr.splitlines()
     assert line.startswith("error: Unable to allocate")
+    assert not out.exists()
+
+
+_SIZE_FLAGS = [(command, flag) for command, flags in {
+    "simulate-ber": ("--blocks", "--n", "--l-depth", "--m"),
+    "simulate-attack-ser": ("--trials", "--n", "--m-values"),
+    "simulate-attack-recovery": ("--repeats", "--trials", "--size"),
+    "analyze-snr": ("--blocks", "--n", "--m"),
+    "measure-ici": ("--n", "--trials", "--m"),
+}.items() for flag in flags]
+
+
+@pytest.mark.parametrize("command, flag", _SIZE_FLAGS, ids=[" ".join(c) for c in _SIZE_FLAGS])
+def test_size_flag_at_2_64_is_refused_when_the_config_is_built(tmp_path, capsys, command, flag):
+    """Each run-size flag at 2**64 is one `error:` line and exit code 2, at
+    once: the config refuses it before any array of that size exists."""
+    out = tmp_path / "x.csv"
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code = main([command, "--seed", "1", flag, str(2 ** 64), "--out", str(out)])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (line,) = capsys.readouterr().err.splitlines()
+    assert code == 2 and line.startswith("error: ")
+    assert elapsed < 1.0 and peak < 2 ** 20, (elapsed, peak)
     assert not out.exists()

@@ -1,6 +1,7 @@
 """Experiment harness: reproducibility contract, stopping rules, CSV
 formatting, sample-mixing model, and per-subcarrier mixing measurement."""
 
+import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
 
@@ -55,6 +56,12 @@ class TestCsvFormat:
     def test_header(self):
         assert CSV_HEADER == ("experiment,N,M,interleaver,equalizer,snr_db,"
                               "k_mixed,trials,bit_errors,ber,symbol_errors,ser,ci95")
+
+    def test_fields_are_the_header_columns(self):
+        # csv_row writes the fields in the order declared, floats by %.6g
+        fields = dataclasses.fields(PointResult)
+        assert CSV_HEADER.lower().split(",") == [f.name for f in fields]
+        assert [f.name for f in fields if f.type is float] == ["snr_db", "ber", "ser", "ci95"]
 
     def test_golden_row(self):
         row = PointResult(
@@ -813,6 +820,47 @@ class TestIciMeasurement:
             with pytest.raises(ShapeError, match="must fit in an unsigned 64-bit counter"):
                 IciConfig(seed=0, perm=perm, key=KEY, ell=ell)
         IciConfig(seed=0, perm=perm, key=KEY, ell=2 ** 64 - 1)
+
+
+# (config, at a run-size bound, one past it, the bound's words in the error)
+BOUNDS = [
+    (BerExperimentConfig, dict(n=8192, n_cp=0), dict(n=8192, n_cp=1), "samples per block"),
+    (BerExperimentConfig, dict(n=64, n_cp=0, interleaver="keyed", l_depth=2 ** 20),
+     dict(n=64, n_cp=0, interleaver="keyed", l_depth=2 ** 20 + 1), "samples per block"),
+    (BerExperimentConfig, dict(n=64, n_cp=0, l_depth=2 ** 20),
+     dict(n=64, n_cp=0, l_depth=2 ** 20 + 1), r"l_depth \* \(n \+ n_cp\)"),
+    (BerExperimentConfig, dict(n=64, n_cp=0, snr_db=(1.0, 2.0), blocks=2 ** 27),
+     dict(n=64, n_cp=0, snr_db=(1.0, 2.0), blocks=2 ** 27 + 1), "samples per run"),
+    (BerExperimentConfig, dict(m=2 ** 16), dict(m=2 ** 18), r"2\*\*16"),
+    (SerAttackConfig, dict(n=2 ** 21, k_values=(0,)), dict(n=2 ** 22, k_values=(0,)),
+     "samples per task"),
+    # the grid counts: 4 (M, k) points of 2**17 trials reach the bound, and 5 pass it
+    (SerAttackConfig, dict(n=2 ** 21, m_values=(4,), k_values=(0, 1, 2, 3), trials=2 ** 17),
+     dict(n=2 ** 21, m_values=(4,), k_values=(0, 1, 2, 3, 4), trials=2 ** 17),
+     "samples per run"),
+    (AttackRecoveryConfig, dict(size=64, repeats=2 ** 20), dict(size=64, repeats=2 ** 20 + 1),
+     "samples per trial"),
+    (AttackRecoveryConfig, dict(size=64, repeats=2 ** 20, trials=2 ** 14),
+     dict(size=64, repeats=2 ** 20, trials=2 ** 14 + 1), "samples per run"),
+    (SnrAnalysisConfig, dict(n=2 ** 16, blocks=2 ** 10), dict(n=2 ** 16, blocks=2 ** 10 + 1),
+     "samples per point"),
+    (SnrAnalysisConfig, dict(n=2 ** 16, blocks=2 ** 10, snr_db=(1.0,) * 2 ** 14),
+     dict(n=2 ** 16, blocks=2 ** 10, snr_db=(1.0,) * (2 ** 14 + 1)), "samples per run"),
+    (IciConfig, dict(n=2 ** 14), dict(n=2 ** 14 + 1), "samples per chunk"),
+    (IciConfig, dict(n=8192, perm="transpose", trials=1),
+     dict(n=8193, perm="transpose", trials=1), "samples per chunk"),
+    (IciConfig, dict(n=2 ** 10, trials=2 ** 30), dict(n=2 ** 10, trials=2 ** 30 + 1),
+     "samples per run"),
+]
+
+
+@pytest.mark.parametrize("cls, at, past, match", BOUNDS,
+                         ids=[f"{c.__name__}-{i}" for i, (c, *_) in enumerate(BOUNDS)])
+def test_run_size_bounds(cls, at, past, match):
+    """A config at a run-size bound builds, and one past it is refused."""
+    cls(seed=1, **at)
+    with pytest.raises(ShapeError, match=match):
+        cls(seed=1, **past)
 
 
 class TestChainBuffers:

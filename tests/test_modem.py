@@ -46,6 +46,12 @@ class TestConstellation:
             with pytest.raises(ShapeError):
                 QamConstellation.square(M)
 
+    def test_largest_constellation_is_65536(self):
+        assert QamConstellation.square(2 ** 16).levels_per_axis == 256
+        for M in (2 ** 18, 2 ** 64):  # refused before a level is computed
+            with pytest.raises(ShapeError, match=r"in \[4, 2\*\*16\]"):
+                QamConstellation.square(M)
+
     def test_gray_neighbors_differ_in_one_bit(self):
         # exhaustive: horizontally/vertically adjacent points differ in
         # exactly one bit of the point index

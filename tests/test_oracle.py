@@ -40,16 +40,26 @@ SEEDS = range(7001, 7001 + len(GRID))
 Z = NormalDist().inv_cdf(1 - FAMILY_ALPHA / (2 * len(GRID)))
 
 
-@pytest.mark.parametrize("seed, link", zip(SEEDS, GRID),
-                         ids=[f"{i}-L{l}-n{n}-w{w}-M{m}" for i, l, n, w, m in GRID])
-def test_awgn_ber_matches_the_closed_form(seed, link):
-    interleaver, l_depth, n, workers, m = link
+# A wider family at 2 workers: n = 4 and 256, transpose and keyed L = 2 and
+# 4, each with no cyclic prefix (at M = 4 and 64) and with n_cp = n (at M =
+# 16 and 256).  It has seeds and a Bonferroni Z of its own.
+WIDE_GRID = [(interleaver, l_depth, n, n_cp, m)
+             for n in (4, 256)
+             for interleaver, l_depth in [("transpose", 1), ("keyed", 2), ("keyed", 4)]
+             for n_cp, ms in [(0, (4, 64)), (n, (16, 256))] for m in ms]
+WIDE_SEEDS = range(7101, 7101 + len(WIDE_GRID))
+WIDE_Z = NormalDist().inv_cdf(1 - FAMILY_ALPHA / (2 * len(WIDE_GRID)))
+
+
+def assert_closed_form(seed, interleaver, l_depth, n, n_cp, workers, m, z):
+    """The bit error count of a fixed-length AWGN run lies within z standard
+    deviations of the count that ber_awgn_qam expects."""
     p = ber_awgn_qam(m, NoiseSpec.from_snr_db(SNR_DB[m]).snr)
     assert p <= 0.06
     k = m.bit_length() - 1
     bits_per_block = (l_depth if interleaver == "keyed" else n) * n * k
     blocks = math.ceil(ERRORS / (p * bits_per_block))
-    cfg = BerExperimentConfig(seed=seed, n=n, m=m, n_cp=8, interleaver=interleaver,
+    cfg = BerExperimentConfig(seed=seed, n=n, m=m, n_cp=n_cp, interleaver=interleaver,
                               l_depth=l_depth, channel="awgn", snr_db=(SNR_DB[m],),
                               blocks=blocks, min_errors=10 ** 9)
     report = run_ber_experiment(cfg, workers=workers)
@@ -57,4 +67,18 @@ def test_awgn_ber_matches_the_closed_form(seed, link):
     assert (row.trials, stop.reason) == (blocks, "block-cap")
     expected = p * blocks * bits_per_block
     sd = math.sqrt(k / 2 * expected)
-    assert abs(row.bit_errors - expected) <= Z * sd, (row.bit_errors, expected, Z * sd)
+    assert abs(row.bit_errors - expected) <= z * sd, (row.bit_errors, expected, z * sd)
+
+
+@pytest.mark.parametrize("seed, link", zip(SEEDS, GRID),
+                         ids=[f"{i}-L{l}-n{n}-w{w}-M{m}" for i, l, n, w, m in GRID])
+def test_awgn_ber_matches_the_closed_form(seed, link):
+    interleaver, l_depth, n, workers, m = link
+    assert_closed_form(seed, interleaver, l_depth, n, 8, workers, m, Z)
+
+
+@pytest.mark.parametrize("seed, link", zip(WIDE_SEEDS, WIDE_GRID),
+                         ids=[f"{i}-L{l}-n{n}-cp{cp}-M{m}" for i, l, n, cp, m in WIDE_GRID])
+def test_wider_awgn_grid_at_two_workers_matches_the_closed_form(seed, link):
+    interleaver, l_depth, n, n_cp, m = link
+    assert_closed_form(seed, interleaver, l_depth, n, n_cp, 2, m, WIDE_Z)
