@@ -267,14 +267,13 @@ class _SumStream:
         return TrialReport(tuple(row(*s) for row, s in zip(self.rows, self.sums)), self.stops)
 
 
-def _error_counts(tx_idx: np.ndarray, rx_idx: np.ndarray, k: int) -> np.ndarray:
+def _error_counts(tx_idx: np.ndarray, rx_idx: np.ndarray) -> np.ndarray:
     """(rows, 2) int64 bit and symbol errors in each row (first axis) of tx_idx.
 
-    rx_idx holds the decided k-bit QAM indices in the same order, in any shape.
+    rx_idx holds the decided QAM indices in the same order, in any shape.
     """
     diff = (tx_idx ^ rx_idx.reshape(tx_idx.shape)).reshape(len(tx_idx), -1)
-    popcount = (np.arange(1 << k)[:, None] >> np.arange(k) & 1).sum(axis=1, dtype=np.uint8)
-    bit_errors = popcount[diff].sum(axis=1, dtype=np.int64)
+    bit_errors = np.bitwise_count(diff).sum(axis=1, dtype=np.int64)
     return np.stack([bit_errors, np.count_nonzero(diff, axis=1)], axis=1)
 
 
@@ -420,7 +419,7 @@ def _ber_chunk_entry(task):
     if perm is not None:
         x = decrypt_block(x, perm, out=spare(x))
     rx_idx = qam_point_indices(fft_demodulate(x, out=x), const)
-    return _error_counts(tx_idx, rx_idx, k)
+    return _error_counts(tx_idx, rx_idx)
 
 
 @dataclass
@@ -599,7 +598,7 @@ def _ser_chunk_entry(task):
     maps = Permutation(map=np.stack([mixing_map(cfg.n, k_mixed, rng) for _ in range(count)]))
     y = add_awgn(encrypt_block(ifft_modulate(d), maps), noise, rng)
     rx_idx = qam_point_indices(fft_demodulate(y), const)
-    bit_errors, symbol_errors = _error_counts(tx_idx, rx_idx, k).sum(axis=0).tolist()
+    bit_errors, symbol_errors = _error_counts(tx_idx, rx_idx).sum(axis=0).tolist()
     return bit_errors, tx_idx.size * k, symbol_errors, tx_idx.size
 
 
@@ -762,17 +761,30 @@ def measure_ici(perm: Permutation, trials: int, n: int, m: int = 4,
     acc_yy = np.zeros((l_eff, n), dtype=np.float64)
     acc_dd = np.zeros((l_eff, n), dtype=np.float64)
 
+    # Each chunk of up to 4096 symbols draws from its own generator, and runs
+    # in slices of at most _CHUNK_SAMPLES samples, or one map.  A chunk's sums
+    # carry across its slices: an axis-0 sum adds rows in order, so they equal
+    # the sums over the whole chunk bit for bit.  So does each product: numpy
+    # evaluates yf * conj(d) over 256 KiB or more in place in its temporary,
+    # as conj(d) * yf, and the two orders round the imaginary part apart, so
+    # every slice takes the order of its whole chunk's product.
     chunk = max(1, 4096 // l_eff)
+    step = max(1, _CHUNK_SAMPLES // perm.size)
     for ci, done in enumerate(range(0, trials, chunk)):
         count = min(chunk, trials - done)
+        swap = count * perm.size * 16 >= 256 * 1024
         rng = np.random.default_rng((seed, ci))
-        idx = rng.integers(0, const.M, size=(count, l_eff, n))
-        d = const.points[idx]
-        x = ifft_modulate(d)
-        yf = fft_demodulate(encrypt_block(x, perm))
-        acc_yd += (yf * np.conj(d)).sum(axis=0)
-        acc_yy += (np.abs(yf) ** 2).sum(axis=0)
-        acc_dd += (np.abs(d) ** 2).sum(axis=0)
+        sums = None
+        for start in range(0, count, step):
+            d = const.points[rng.integers(0, const.M, size=(min(step, count - start), l_eff, n))]
+            yf = fft_demodulate(encrypt_block(ifft_modulate(d), perm))
+            pair = (np.conj(d), yf) if swap else (yf, np.conj(d))
+            terms = (np.multiply(*pair), np.abs(yf) ** 2, np.abs(d) ** 2)
+            if sums is not None:  # the earlier slices' sums as a first row
+                terms = [np.concatenate([s[None], t]) for s, t in zip(sums, terms)]
+            sums = [t.sum(axis=0) for t in terms]
+        for acc, chunk_sum in zip((acc_yd, acc_yy, acc_dd), sums):
+            acc += chunk_sum
 
     alpha = acc_yd / trials  # sigma_d^2 = 1
     beta_power = (
@@ -803,9 +815,8 @@ class IciConfig:
         if self.n < 1 or self.trials < 1:
             raise ShapeError(f"n and trials must be >= 1, got {self.n} and {self.trials}")
         size = self.n * self.n if self.perm == "transpose" else self.n  # of the map
-        # measure_ici runs up to 4096 symbols, or one map, at a time
-        _check_size("samples per chunk, max(4096 * n, map size),", max(4096 * self.n, size),
-                    _MAX_SAMPLES)
+        # measure_ici runs up to _CHUNK_SAMPLES samples, or one map, at a time
+        _check_size("samples per map", size, _MAX_SAMPLES)
         _check_size("samples per run, trials * map size,", self.trials * size, _MAX_WORK)
         QamConstellation.square(self.m)
         if self.perm == "keyed" and self.key is None:

@@ -38,6 +38,7 @@ from permofdm import (
     run_ber_experiment,
     run_ser_attack_experiment,
     semi_analytic_ber,
+    transpose_interleaver,
     wald_halfwidth,
 )
 
@@ -189,11 +190,40 @@ class TestChainStages:
         rng = np.random.default_rng(seed)
         tx = rng.integers(0, 1 << k, size=(rows, 1, cols))
         rx = np.where(rng.random(tx.shape) < 0.5, tx, rng.integers(0, 1 << k, size=tx.shape))
-        got = harness._error_counts(tx, rx.reshape(-1), k)
+        got = harness._error_counts(tx, rx.reshape(-1))
         diff = (tx ^ rx).reshape(rows, -1)
         bit_errors = (diff[..., None] >> np.arange(k, dtype=np.int64) & 1).sum(axis=(1, 2))
         assert got.dtype == np.int64
         assert np.array_equal(got, np.stack([bit_errors, np.count_nonzero(diff, axis=1)], axis=1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.sampled_from((4, 16, 64, 256, 4096, 2 ** 16)),
+           shape=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_error_counts_match_a_popcount_table(self, m, shape, seed):
+        # indices of the width qam_point_indices gives, against the (M, log2 M)
+        # bit table that the count once built for every task
+        k = m.bit_length() - 1
+        rng = np.random.default_rng(seed)
+        tx = rng.integers(0, m, size=shape).astype(np.min_scalar_type(m - 1))
+        rx = np.where(rng.random(shape) < 0.5, tx, rng.integers(0, m, size=shape)).astype(tx.dtype)
+        table = (np.arange(m)[:, None] >> np.arange(k) & 1).sum(axis=1)
+        diff = (tx ^ rx).reshape(len(tx), -1)
+        want = np.stack([table[diff].sum(axis=1), np.count_nonzero(diff, axis=1)], axis=1)
+        assert np.array_equal(harness._error_counts(tx, rx), want)
+
+    def test_error_counts_build_no_table(self):
+        # 4096 uint16 indices at M = 2**16: the old table alone was 8 MiB
+        import tracemalloc
+        rng = np.random.default_rng(1)
+        tx, rx = rng.integers(0, 2 ** 16, size=(2, 4, 1024), dtype=np.uint16)
+        tracemalloc.start()
+        try:
+            harness._error_counts(tx, rx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 class TestBerExperiment:
@@ -804,6 +834,48 @@ class TestIciMeasurement:
         total = np.abs(rep.alpha) ** 2 + rep.beta_power
         assert np.max(np.abs(total - 1.0)) < 0.1
 
+    # (map, n, m, trials): chunks of several slices, of one map per slice
+    # (n=91), runs of two chunks, and chunks of products over and under
+    # 256 KiB, the size from which numpy reorders yf * conj(d).
+    SLICED = [(Permutation.identity(4), 4, 4, 5000),
+              (Permutation(map=np.random.default_rng(2).permutation(64)), 64, 16, 4200),
+              (derive_permutation(KEY, 1, 256), 256, 4, 4097),
+              (transpose_interleaver(4), 4, 16, 1100), (transpose_interleaver(64), 64, 4, 70),
+              (transpose_interleaver(91), 91, 4, 15)]
+
+    @pytest.mark.parametrize("perm, n, m, trials", SLICED,
+                             ids=[f"n{n}-L{p.size // n}" for p, n, _, _ in SLICED])
+    def test_slices_match_whole_chunks_bit_for_bit(self, perm, n, m, trials):
+        # the sums over whole chunks of 4096 symbols, or one map, as written
+        # before the chunks were sliced
+        l_eff, const = perm.size // n, QamConstellation.square(m)
+        acc_yd = np.zeros((l_eff, n), dtype=np.complex128)
+        acc_yy, acc_dd = np.zeros((2, l_eff, n))
+        chunk = max(1, 4096 // l_eff)
+        for ci, done in enumerate(range(0, trials, chunk)):
+            rng = np.random.default_rng((7, ci))
+            d = const.points[rng.integers(0, const.M, size=(min(chunk, trials - done), l_eff, n))]
+            yf = modem.fft_demodulate(encrypt_block(modem.ifft_modulate(d), perm))
+            acc_yd += (yf * np.conj(d)).sum(axis=0)
+            acc_yy += (np.abs(yf) ** 2).sum(axis=0)
+            acc_dd += (np.abs(d) ** 2).sum(axis=0)
+        alpha = acc_yd / trials
+        beta_power = (acc_yy / trials - 2.0 * np.real(np.conj(alpha) * acc_yd / trials)
+                      + np.abs(alpha) ** 2 * acc_dd / trials)
+        rep = measure_ici(perm, trials, n, m=m, seed=7)
+        assert np.array_equal(rep.alpha, alpha) and np.array_equal(rep.beta_power, beta_power)
+
+    def test_memory_does_not_grow_with_the_chunk(self):
+        # chunks of 4096 symbols of 2048 samples once held 576 MiB
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            harness.run_ici_experiment(IciConfig(seed=1, n=2048, trials=4096, perm="random"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+
     def test_validation(self):
         perm = Permutation.identity(12)
         with pytest.raises(ShapeError):
@@ -846,9 +918,9 @@ BOUNDS = [
      "samples per point"),
     (SnrAnalysisConfig, dict(n=2 ** 16, blocks=2 ** 10, snr_db=(1.0,) * 2 ** 14),
      dict(n=2 ** 16, blocks=2 ** 10, snr_db=(1.0,) * (2 ** 14 + 1)), "samples per run"),
-    (IciConfig, dict(n=2 ** 14), dict(n=2 ** 14 + 1), "samples per chunk"),
+    (IciConfig, dict(n=2 ** 26, trials=1), dict(n=2 ** 26 + 1, trials=1), "samples per map"),
     (IciConfig, dict(n=8192, perm="transpose", trials=1),
-     dict(n=8193, perm="transpose", trials=1), "samples per chunk"),
+     dict(n=8193, perm="transpose", trials=1), "samples per map"),
     (IciConfig, dict(n=2 ** 10, trials=2 ** 30), dict(n=2 ** 10, trials=2 ** 30 + 1),
      "samples per run"),
 ]

@@ -14,6 +14,15 @@ error count is at most k/2 times its expected count.  Z is the two-sided
 normal quantile of a Bonferroni-corrected family-wise false-alarm rate
 of FAMILY_ALPHA over the grid.  Seeds, SNRs and block counts are fixed
 here, before any run.
+
+A third family runs the transpose interleaver over five-tap Rayleigh
+fading with ZF, against semi_analytic_ber on the same channel ensemble.
+After the transpose, each symbol's samples come from n received symbols
+with independent noise, so its noise is white Gaussian of the mean
+post-ZF power that the semi-analytic BER assumes.  A fade moves the errors of a whole block together, so there the block is
+the independent unit: each block is a one-block point, analyze_snr with
+the same seed gives that block's semi-analytic BER, and the variance of
+a point's mean excess over it is taken from the blocks themselves.
 """
 
 import math
@@ -21,7 +30,15 @@ from statistics import NormalDist
 
 import pytest
 
-from permofdm import BerExperimentConfig, NoiseSpec, ber_awgn_qam, run_ber_experiment
+from permofdm import (
+    BerExperimentConfig,
+    NoiseSpec,
+    SnrAnalysisConfig,
+    analyze_snr,
+    ber_awgn_qam,
+    qfunc,
+    run_ber_experiment,
+)
 
 # Symbol SNR per M, where the expected BER is 0.036-0.042: below about 0.06
 # the nearest-neighbour ber_awgn_qam is within 0.02% of the exact Gray BER.
@@ -82,3 +99,47 @@ def test_awgn_ber_matches_the_closed_form(seed, link):
 def test_wider_awgn_grid_at_two_workers_matches_the_closed_form(seed, link):
     interleaver, l_depth, n, n_cp, m = link
     assert_closed_form(seed, interleaver, l_depth, n, n_cp, 2, m, WIDE_Z)
+
+
+# Rayleigh: transpose over FIVE_TAP_PROFILE with ZF, (n, M, symbol SNR in
+# dB, blocks), where the semi-analytic BER is about 0.03-0.07.  Each block
+# is a point of its own, so its seed (seed, point, 0) draws the channel
+# that analyze_snr draws for the same point.
+RAYLEIGH_GRID = [(64, 4, 12.0, 200), (64, 16, 20.0, 200), (128, 4, 12.0, 100),
+                 (128, 16, 20.0, 100)]
+RAYLEIGH_SEEDS = range(7201, 7201 + len(RAYLEIGH_GRID))
+RAYLEIGH_Z = NormalDist().inv_cdf(1 - FAMILY_ALPHA / (2 * len(RAYLEIGH_GRID)))
+
+
+def nearest_neighbour_deficit(m, ber):
+    """How far below the exact Gray-QAM BER the nearest-neighbour form that
+    ber_awgn_qam uses lies, at the SNR where that form reads ber.  It is 0
+    at M = 4, where the form is exact; at M = 16 the exact BER is
+    (3Q(a) + 2Q(3a) - Q(5a))/4 against the form's 3Q(a)/4."""
+    if m == 4:
+        return 0.0
+    assert m == 16
+    a = -NormalDist().inv_cdf(ber / 0.75)
+    return float(2 * qfunc(3 * a) - qfunc(5 * a)) / 4
+
+
+@pytest.mark.parametrize("seed, link", zip(RAYLEIGH_SEEDS, RAYLEIGH_GRID),
+                         ids=[f"n{n}-M{m}" for n, m, _, _ in RAYLEIGH_GRID])
+def test_rayleigh_zf_ber_matches_the_semi_analytic_curve(seed, link):
+    """The mean excess of a block's bit errors over its semi-analytic count
+    lies within RAYLEIGH_Z standard errors of 0, on the high side widened by
+    the nearest-neighbour form's known deficit at M = 16."""
+    n, m, snr_db, blocks = link
+    snr = (snr_db,) * blocks
+    mc = run_ber_experiment(BerExperimentConfig(
+        seed=seed, n=n, m=m, interleaver="transpose", snr_db=snr, blocks=1,
+        min_errors=10 ** 9))
+    sa = analyze_snr(SnrAnalysisConfig(seed=seed, n=n, m=m, snr_db=snr, blocks=1))
+    assert {(row.trials, stop.reason) for row, stop in zip(mc.points, mc.stops)} == {
+        (1, "block-cap")}
+    bits = n * n * (m.bit_length() - 1)
+    excess = [row.bit_errors - bits * point.ber for row, point in zip(mc.points, sa.points)]
+    deficit = sum(bits * nearest_neighbour_deficit(m, p.ber) for p in sa.points) / blocks
+    mean = sum(excess) / blocks
+    se = math.sqrt(sum((e - mean) ** 2 for e in excess) / (blocks - 1) / blocks)
+    assert -RAYLEIGH_Z * se <= mean <= deficit + RAYLEIGH_Z * se, (mean, deficit, se)
