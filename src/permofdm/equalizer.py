@@ -116,14 +116,18 @@ def qfunc(x):
 
 
 def ber_awgn_qam(M: int, snr) -> np.ndarray | float:
-    """Gray-coded square-QAM bit error rate on AWGN at the given symbol SNR.
-
-    Exact for M = 4; the standard nearest-neighbor expression
-    (4/log2 M)(1 - 1/sqrt(M)) Q(sqrt(3 snr/(M-1))) otherwise.
-    """
+    """Gray-coded square-QAM bit error rate on AWGN at the given symbol SNR:
+    the exact sum of Cho & Yoon (IEEE Trans. Commun. 50(7), 2002), in which
+    bit b of an axis's k/2 weights the terms Q((2i + 1) a), a = sqrt(3 snr /
+    (M - 1)), with i < (1 - 2^-b) sqrt(M).  At M = 4 it is Q(a)."""
     k = QamConstellation.square(M).bits_per_symbol  # rejects M that are not square QAM
-    snr = np.asarray(snr, dtype=np.float64)
-    ber = (4.0 / k) * (1.0 - 1.0 / np.sqrt(M)) * qfunc(np.sqrt(3.0 * snr / (M - 1)))
+    side, b = math.isqrt(M), np.arange(1, k // 2 + 1)[:, None]
+    i = np.arange(side - 1)
+    t = i * 2 ** (b - 1)
+    weights = np.where(i < side - side // 2 ** b,
+                       (-1) ** (t // side) * (2 ** (b - 1) - (t + side // 2) // side), 0)
+    a = np.sqrt(3.0 * np.asarray(snr, dtype=np.float64) / (M - 1))
+    ber = qfunc(a[..., None] * (2 * i + 1)) @ (weights.sum(axis=0) / (side * k / 4))
     return float(ber) if ber.ndim == 0 else ber
 
 

@@ -17,12 +17,13 @@ One driver (_run) computes the tasks of every run, and folds each result
 into the run's stream as soon as it is taken.  A BER task is a chunk of
 consecutive blocks of one point, which runs through the link chain once as
 a stack, in two buffers reused from chunk to chunk (_chain_buffers).  Every
-point of a run goes through one task stream (_BerStream): each chunk ends
-at the point's predicted stop, and a pool fills its window with the chunks
-the predictions say are needed, earliest point first, before it computes
-past any prediction.  One worker computes no block past a stop, except
-when its blocks are over the chunk budget: it then computes them on two
-threads of its own, which the stream schedules as a 2-worker pool.
+point of a run goes through one task stream (_BerStream), whatever computes
+it: each chunk ends at the point's stop as predicted from its running error
+rate, and the chunks the predictions say are needed come first, earliest
+point first, before any past a prediction.  One worker computes the chunks
+in turn, so it computes past a stop only the rest of the chunk that reaches
+it; blocks over the chunk budget it computes on two threads of its own.
+A pool keeps more chunks in flight, and lets go of those past a stop.
 """
 
 import concurrent.futures
@@ -209,8 +210,8 @@ def _run(stream, entry, workers: int, threads: bool = False) -> TrialReport:
     stream as soon as it is taken, in task order, and return stream.report().
 
     stream.tasks() picks each task only when asked, from the results folded
-    by then.  One worker computes a task only when its result is taken, so
-    it computes nothing past a stop.  More workers are processes or, given
+    by then.  One worker computes each task in this thread, and folds it
+    before it asks for the next.  More workers are processes or, given
     threads, threads of this process, each computing in its own chain
     buffers; they keep 2 * workers tasks in flight.  After each result,
     those whose point has stopped(task) are let go: one not yet started is
@@ -444,47 +445,36 @@ class _BerStream:
     folded by then, so the chunks submitted depend only on the results.
     """
 
-    def __init__(self, cfg: BerExperimentConfig, workers: int):
+    def __init__(self, cfg: BerExperimentConfig):
         self.cfg = cfg
         self.min_blocks = cfg.min_blocks if cfg.min_blocks is not None else min(200, cfg.blocks)
         self.syms = cfg.symbols_per_block * cfg.n
         self.bits = self.syms * QamConstellation.square(cfg.m).bits_per_symbol
-        block = cfg.symbols_per_block * (cfg.n + cfg.n_cp)
-        self.most = max(1, _CHUNK_SAMPLES // block)
-        # One worker computes blocks over the chunk budget on two threads.
-        self.threads = workers == 1 and block > _CHUNK_SAMPLES
-        self.workers = 2 if self.threads else workers
+        self.most = max(1, _CHUNK_SAMPLES // (cfg.symbols_per_block * (cfg.n + cfg.n_cp)))
         # The fewest blocks that reach a cap; exact, as the size bounds keep blocks * bits < 2**53.
         self.cap = min(cfg.blocks, math.ceil(cfg.max_bits / self.bits))
         self.points = [_PointTally(pi, float(snr_db)) for pi, snr_db in enumerate(cfg.snr_db)]
 
     def _predicted_stop(self, p: _PointTally) -> int:
-        """The block count p is predicted to stop at, above its blocks taken.
-
-        One worker predicts the fewest blocks that could meet the error
-        budget, every bit wrong, so it computes no block past the stop.  A
-        pool, or one worker's two threads, extrapolates the point's running
-        error rate, and with no error yet predicts the cap.
-        """
+        """The block count p is predicted to stop at, above its blocks taken:
+        the point's running error rate extrapolated to the error budget, and
+        with no error yet the cap."""
         need = self.cfg.min_errors - p.bit_errors
-        if need > 0 and self.workers > 1:
-            more = -(-need * p.taken // p.bit_errors) if p.bit_errors else self.cap
-        else:
-            more = -(-need // self.bits)
+        more = 0 if need <= 0 else -(-need * p.taken // p.bit_errors) if p.bit_errors else self.cap
         return max(min(max(self.min_blocks, p.taken + more), self.cap), p.taken + 1)
 
     def _next_chunk(self):
         live = [p for p in self.points if p.reason is None]
-        # Chunks the predictions say are needed, earliest point first.  In a
-        # pool, a point with no block folded yet needs only its first chunk.
-        # One worker folds each chunk before it asks, so it always finds one.
+        # Chunks the predictions say are needed, earliest point first.  A
+        # point with no block folded yet needs only its first chunk.
         for p in live:
-            if p.taken or not p.next_block or self.workers == 1:
+            if p.taken or not p.next_block:
                 stop = self._predicted_stop(p)
                 if p.next_block < stop:
                     return p, min(stop, p.next_block + self.most)
-        # Past every prediction, a pool speculates on the earliest open point,
-        # up to its cap: no point takes a block past it.
+        # Past every prediction, which one worker never is, as it folds each
+        # chunk before it asks, speculate on the earliest open point, up to
+        # its cap: no point takes a block past it.
         for p in live:
             if p.next_block < self.cap:
                 return p, min(self.cap, p.next_block + self.most)
@@ -492,7 +482,7 @@ class _BerStream:
 
     def tasks(self):
         """The chunk tasks, each picked when asked; they end when every point
-        has stopped or, in a pool, when none is left to speculate on."""
+        has stopped or none is left to speculate on."""
         while (chunk := self._next_chunk()) is not None:
             p, b1 = chunk
             b0, p.next_block = p.next_block, b1
@@ -534,8 +524,9 @@ def run_ber_experiment(cfg: BerExperimentConfig, workers: int = 1) -> TrialRepor
     if cfg.channel == "rayleigh" and cfg.profile.max_delay > cfg.n_cp:
         warnings.warn(f"channel memory {cfg.profile.max_delay} exceeds cyclic prefix "
                       f"{cfg.n_cp}; inter-block interference will leak", stacklevel=2)
-    stream = _BerStream(cfg, workers)
-    return _run(stream, _ber_chunk_entry, stream.workers, threads=stream.threads)
+    # One worker computes blocks over the chunk budget on two threads.
+    threads = workers == 1 and cfg.symbols_per_block * (cfg.n + cfg.n_cp) > _CHUNK_SAMPLES
+    return _run(_BerStream(cfg), _ber_chunk_entry, 2 if threads else workers, threads=threads)
 
 
 # ---------------------------------------------------------------------------

@@ -270,8 +270,13 @@ class TestBerClosedForms:
         snr = np.array([1.0, 2.5, 10.0])
         assert np.allclose(ber_awgn_qam(4, snr), qfunc(np.sqrt(snr)), atol=1e-15)
 
+    def test_16qam_exact_sum(self):
+        snr = np.array([0.1, 1.0, 10.0, 100.0])
+        a = np.sqrt(snr / 5)
+        want = (3 * qfunc(a) + 2 * qfunc(3 * a) - qfunc(5 * a)) / 4
+        assert np.allclose(ber_awgn_qam(16, snr), want, rtol=1e-14, atol=0)
+
     def test_16qam_formula_against_monte_carlo(self):
-        # sanity on the nearest-neighbor expression at moderate SNR
         from permofdm import QamConstellation, add_awgn, qam_demodulate, qam_modulate
         rng = np.random.default_rng(40)
         c = QamConstellation.square(16)

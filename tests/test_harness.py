@@ -325,10 +325,18 @@ class TestBerExperiment:
             assert [s.reason for s in pooled.stops] == [s.reason for s in serial.stops]
 
     def test_one_worker_hands_out_the_two_worker_chunks(self, monkeypatch):
-        small = BerExperimentConfig(seed=1, n=64, n_cp=16)  # 5,120 samples per block
-        assert harness._BerStream(self.LANE, 1).threads
-        assert not harness._BerStream(self.LANE, 2).threads
-        assert not harness._BerStream(small, 1).threads
+        small = BerExperimentConfig(seed=1, n=64, n_cp=16, blocks=2)  # 5,120 samples per block
+        drivers = []
+
+        def run(stream, entry, workers, threads=False, fn=harness._run):
+            drivers.append((workers, threads))
+            return fn(stream, entry, workers, threads)
+        monkeypatch.setattr(harness, "_run", run)
+        lane = dataclasses.replace(self.LANE, blocks=2)
+        for cfg, workers in ((lane, 1), (lane, 2), (small, 1), (small, 2)):
+            run_ber_experiment(cfg, workers=workers)
+        assert drivers == [(2, True), (2, False), (1, False), (2, False)]
+        monkeypatch.undo()
         runs = []
 
         def tasks(stream, fn=harness._BerStream.tasks):
@@ -358,16 +366,27 @@ class TestBerExperiment:
         for s, p in zip(one.stops, one.points):
             assert 0 <= s.submitted - s.cancelled - p.trials <= 3
 
+    # Keyed n=64 blocks of 80 framed samples, 102 to a chunk.
     @pytest.mark.parametrize("cfg", [
-        BerExperimentConfig(seed=13, n=64, snr_db=(40.0,), blocks=60,
-                            min_blocks=5, min_errors=10 ** 9, max_bits=10000),
-        BerExperimentConfig(seed=13, n=64, snr_db=(0.0,), blocks=60,
-                            min_blocks=4, min_errors=100),
+        BerExperimentConfig(seed=13, n=64, interleaver="keyed", snr_db=(40.0,), blocks=600,
+                            min_blocks=5, min_errors=10 ** 9, max_bits=250 * 128),
+        BerExperimentConfig(seed=13, n=64, interleaver="keyed", snr_db=(6.0, 12.0, 18.0),
+                            blocks=2000, min_blocks=2, min_errors=2000),
     ], ids=["bit-cap", "error-budget"])
-    def test_one_worker_computes_only_the_blocks_taken(self, cfg):
+    def test_one_worker_computes_whole_chunks_and_little_past_the_stops(
+            self, cfg, monkeypatch):
+        chunks = []
+
+        def entry(task, fn=harness._ber_chunk_entry):
+            chunks.append(task[4] - task[3])
+            return fn(task)
+        monkeypatch.setattr(harness, "_ber_chunk_entry", entry)
         report = run_ber_experiment(cfg)
-        assert [(s.submitted, s.cancelled) for s in report.stops] == [
-            (p.trials, 0) for p in report.points]
+        most = harness._CHUNK_SAMPLES // 80
+        assert sum(chunks) == sum(s.submitted for s in report.stops)
+        assert sum(chunks) >= 10 * len(chunks)
+        for s, p in zip(report.stops, report.points):
+            assert s.cancelled == 0 and 0 <= s.submitted - p.trials < most
 
     @staticmethod
     def stop_reason(cfg, point):
@@ -382,8 +401,9 @@ class TestBerExperiment:
         assert point.trials == cfg.blocks
         return "block-cap"
 
+    @pytest.mark.parametrize("workers", (1, 2))
     @pytest.mark.parametrize("seed", (1, 2, 3))
-    def test_pool_submits_little_past_the_stops(self, seed):
+    def test_pool_submits_little_past_the_stops(self, seed, workers):
         # The benchmark's ber-keyed-2w config: its key file holds
         # SHA-256(b"perfbench key" || seed as 8 big-endian bytes).
         import hashlib
@@ -392,7 +412,7 @@ class TestBerExperiment:
         cfg = BerExperimentConfig(seed=seed, n=256, m=4, n_cp=16, interleaver="keyed",
                                   snr_db=(6.0, 12.0, 18.0, 24.0), min_blocks=2, blocks=600,
                                   min_errors=3000, max_bits=1e8, key=key)
-        runs = [run_ber_experiment(cfg, workers=2) for _ in range(2)]
+        runs = [run_ber_experiment(cfg, workers=workers) for _ in range(2)]
         assert not multiprocessing.active_children()
         taken = sum(p.trials for p in runs[0].points)
         submitted = [sum(s.submitted for s in run.stops) for run in runs]
@@ -481,9 +501,10 @@ class TestBerExperiment:
             assert report.to_csv() == "\n".join([CSV_HEADER, *rows]) + "\n", kwargs
             assert [s.reason for s in report.stops] == [
                 self.stop_reason(cfg, p) for p in report.points], kwargs
+            most = max(1, harness._CHUNK_SAMPLES // (cfg.symbols_per_block * (cfg.n + cfg.n_cp)))
             for s, p in zip(report.stops, report.points):
                 assert s.submitted >= p.trials and 0 <= s.cancelled <= s.submitted - p.trials
-                assert workers > 1 or s.submitted == p.trials
+                assert workers > 1 or (s.cancelled == 0 and 0 <= s.submitted - p.trials < most)
             reasons.update(s.reason for s in report.stops)
         assert reasons == {"error-budget", "bit-cap", "block-cap"}
 
@@ -763,6 +784,22 @@ class TestSnrAnalysis:
         mc = run_ber_experiment(mc_cfg).points[0].ber
         sa = analyze_snr(sa_cfg).points[0].ber
         assert mc == pytest.approx(sa, rel=0.2)
+
+    def test_qpsk_rows_keep_their_floats_and_bytes(self):
+        # captured while ber_awgn_qam used the nearest-neighbour form, which is
+        # exact at M = 4
+        report = analyze_snr(SnrAnalysisConfig(seed=8, n=64, m=4, blocks=30,
+                                               snr_db=(-3.0, 0.0, 7.5, 15.0, 30.0)))
+        assert [p.ber for p in report.points] == [
+            0.3650296824575163, 0.2824088872793212, 0.1703617387402331,
+            0.030514599279747773, 1.616391622209387e-07]
+        assert report.to_csv() == "\n".join([
+            CSV_HEADER,
+            "snr-analytic,64,4,transpose,zf,-3,0,30,0,0.36503,0,0,0",
+            "snr-analytic,64,4,transpose,zf,0,0,30,0,0.282409,0,0,0",
+            "snr-analytic,64,4,transpose,zf,7.5,0,30,0,0.170362,0,0,0",
+            "snr-analytic,64,4,transpose,zf,15,0,30,0,0.0305146,0,0,0",
+            "snr-analytic,64,4,transpose,zf,30,0,30,0,1.61639e-07,0,0,0"]) + "\n"
 
     def test_monotone_in_snr(self):
         cfg = SnrAnalysisConfig(seed=8, n=64, snr_db=(5.0, 15.0, 25.0),
