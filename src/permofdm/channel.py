@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeError, out_array
+from .errors import PASS_SAMPLES, ShapeError, out_array
 from .fileio import read_text
 
 
@@ -70,10 +70,6 @@ class NoiseSpec:
         """1 / sigma_z2; infinite for a zero noise power."""
         return 1.0 / self.sigma_z2 if self.sigma_z2 else np.inf
 
-    @property
-    def snr_db(self) -> float:
-        return 10.0 * np.log10(self.snr)
-
     @classmethod
     def from_snr_db(cls, snr_db: float) -> "NoiseSpec":
         return cls(sigma_z2=10.0 ** (-snr_db / 10.0))
@@ -104,12 +100,6 @@ def freq_response(taps: np.ndarray, n: int) -> np.ndarray:
     return np.fft.fft(taps, n=n, axis=-1)
 
 
-# Output samples per np.convolve call, so its temporaries stay small.
-_CONVOLVE_SEGMENT = 4096
-# Normal draws per pass of add_awgn, so its draw buffer stays small.
-_NOISE_SLICE = 8192
-
-
 def apply_channel_stream(stream: np.ndarray, taps: np.ndarray, out=None) -> np.ndarray:
     """Linear convolution with the taps, truncated to the input length.
 
@@ -117,10 +107,11 @@ def apply_channel_stream(stream: np.ndarray, taps: np.ndarray, out=None) -> np.n
     stacks in which row b of the stream passes through row b of the taps.
     out, when given, receives the result and must not overlap stream.
 
-    Each row is convolved in segments: the first in np.convolve's full mode,
-    the rest in its valid mode over the segment and the taps - 1 samples
-    before it.  Every output sample is then the same dot product, term for
-    term, as in one full-mode call on the whole row.
+    Each row is convolved in segments of PASS_SAMPLES outputs, or of the
+    taps if longer: the first in np.convolve's full mode, the rest in its
+    valid mode over the segment and the taps - 1 samples before it.  Every
+    output sample is then the same dot product, term for term, as in one
+    full-mode call on the whole row.
     """
     stream = np.asarray(stream, dtype=np.complex128)
     taps = np.asarray(taps, dtype=np.complex128)
@@ -130,7 +121,7 @@ def apply_channel_stream(stream: np.ndarray, taps: np.ndarray, out=None) -> np.n
     if np.may_share_memory(stream, out):
         raise ShapeError("out must not overlap stream")
     size, t = stream.shape[-1], taps.shape[-1]
-    seg = max(_CONVOLVE_SEGMENT, t)
+    seg = max(PASS_SAMPLES, t)
     first = min(seg, size)
     for row, h, o in zip(stream.reshape(-1, size), taps.reshape(-1, t), out.reshape(-1, size)):
         o[:first] = np.convolve(row[:first], h)[:first]
@@ -161,14 +152,14 @@ def add_awgn(x: np.ndarray, noise: NoiseSpec | float, rng: np.random.Generator) 
     as a new C-ordered complex128 array.
 
     rng draws the real parts of every sample in C order, then the imaginary
-    parts, through awgn_draws a _NOISE_SLICE at a time; the values are those
+    parts, through awgn_draws PASS_SAMPLES draws at a time; the values are those
     of one standard_normal call of 2 * x.size draws.
     """
     out = np.array(x, dtype=np.complex128, order="C")  # so flat below is a view
     flat = out.reshape(-1)
-    window = np.empty((1, min(flat.size, _NOISE_SLICE)))
+    window = np.empty((1, min(flat.size, PASS_SAMPLES)))
     for part in (flat.real, flat.imag):
-        for s in range(0, max(flat.size, 1), _NOISE_SLICE):  # an empty x is checked too
-            part[s:s + _NOISE_SLICE] += awgn_draws(noise, [rng], window[:, :flat.size - s])[0]
+        for s in range(0, max(flat.size, 1), PASS_SAMPLES):  # an empty x is checked too
+            part[s:s + PASS_SAMPLES] += awgn_draws(noise, [rng], window[:, :flat.size - s])[0]
     return out
 

@@ -1,6 +1,11 @@
-"""Exception types shared across the package, and the out= check that raises one."""
+"""Exception types shared across the package, the out= check that raises one,
+and the pass budget of the kernels that work through an array in slices."""
 
 import numpy as np
+
+# Samples a kernel handles per pass (QAM mapping and decisions, noise draws,
+# convolution segments, measure_ici slices), so its temporaries stay small.
+PASS_SAMPLES = 8192
 
 
 class ShapeError(ValueError):

@@ -10,6 +10,7 @@ value` lines with `#` comments; values stay strings until the CLI parses
 them by the type of the config field they set.
 """
 
+import os
 import string
 from pathlib import Path
 
@@ -24,14 +25,14 @@ def write_iq(path, samples: np.ndarray) -> None:
 
 
 def read_iq(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    if len(raw) % 8:
-        raise IqFormatError(
-            f"{path}: {len(raw)} bytes is not a whole number of float32 I,Q pairs"
-        )
-    # A writable copy in native byte order; I and Q stay independent, so a
-    # NaN or an infinity in one leaves the other intact.
-    return np.frombuffer(raw, dtype="<c8").astype(np.complex64)
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        if size % 8:
+            raise IqFormatError(
+                f"{path}: {size} bytes is not a whole number of float32 I,Q pairs")
+        # Read once into a writable array; I and Q stay independent, so a NaN
+        # or an infinity in one leaves the other intact.
+        return np.fromfile(f, dtype="<c8", count=size // 8).astype(np.complex64, copy=False)
 
 
 def _reads_as_hex(raw: bytes) -> bool:

@@ -50,7 +50,7 @@ from .channel import (
     freq_response,
 )
 from .equalizer import EqualizerKind, equalize, semi_analytic_ber
-from .errors import ShapeError
+from .errors import PASS_SAMPLES, ShapeError
 from .modem import (
     QamConstellation,
     add_cp,
@@ -134,11 +134,16 @@ StopReason = Literal["error-budget", "bit-cap", "block-cap"]
 class PointStop:
     """How one point of a Monte-Carlo run ended, kept out of the CSV: the
     rule that stopped it, the blocks handed to the workers, and how many of
-    those were cancelled before they started."""
+    those were cancelled before they started.  A BER point of 2 or more
+    blocks also carries the standard error of its BER over blocks, the
+    clusters, and its design effect: that error squared over the binomial
+    variance, None when the latter is 0."""
 
     reason: StopReason
     submitted: int
     cancelled: int
+    ber_se: Optional[float] = None
+    design_effect: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -431,6 +436,7 @@ class _PointTally:
     snr_db: float
     taken: int = 0
     bit_errors: int = 0
+    squared_bit_errors: int = 0  # summed over blocks, for the spread between them
     symbol_errors: int = 0
     next_block: int = 0
     cancelled: int = 0
@@ -501,6 +507,7 @@ class _BerStream:
         for block_be, block_se in counts.tolist():
             p.taken += 1
             p.bit_errors += block_be
+            p.squared_bit_errors += block_be * block_be
             p.symbol_errors += block_se
             if p.taken >= self.min_blocks and p.bit_errors >= cfg.min_errors:
                 p.reason = "error-budget"
@@ -515,8 +522,19 @@ class _BerStream:
             "ber", cfg.n, cfg.m, cfg.interleaver, cfg.equalizer.variant, p.snr_db, 0,
             trials=p.taken, bit_errors=p.bit_errors, bits=p.taken * self.bits,
             symbol_errors=p.symbol_errors, symbols=p.taken * self.syms) for p in self.points)
-        stops = tuple(PointStop(p.reason, p.next_block, p.cancelled) for p in self.points)
+        stops = tuple(PointStop(p.reason, p.next_block, p.cancelled, *self._spread(p))
+                      for p in self.points)
         return TrialReport(points=rows, stops=stops)
+
+    def _spread(self, p: _PointTally) -> tuple:
+        """p's (ber_se, design_effect), from its b blocks of self.bits bits
+        each, its e errors in n bits, and the sum of its squared block errors."""
+        b, n, e = p.taken, p.taken * self.bits, p.bit_errors
+        if b < 2:
+            return None, None
+        spread = b * p.squared_bit_errors - e * e  # (b - 1) n^2 SE^2, exact
+        deff = spread * n / ((b - 1) * e * (n - e)) if 0 < e < n else None
+        return math.sqrt(spread / ((b - 1) * n * n)), deff
 
 
 def run_ber_experiment(cfg: BerExperimentConfig, workers: int = 1) -> TrialReport:
@@ -724,10 +742,6 @@ class IciReport:
     beta_power: np.ndarray = field(repr=False)
     trials: int = 0
 
-    @property
-    def n(self) -> int:
-        return int(self.alpha.shape[-1])
-
     def to_csv(self) -> str:
         lines = ["l,k,alpha_re,alpha_im,alpha_abs2,beta_power"]
         for (l, k), a in np.ndenumerate(self.alpha):
@@ -753,14 +767,14 @@ def measure_ici(perm: Permutation, trials: int, n: int, m: int = 4,
     acc_dd = np.zeros((l_eff, n), dtype=np.float64)
 
     # Each chunk of up to 4096 symbols draws from its own generator, and runs
-    # in slices of at most _CHUNK_SAMPLES samples, or one map.  A chunk's sums
+    # in slices of at most PASS_SAMPLES samples, or one map.  A chunk's sums
     # carry across its slices: an axis-0 sum adds rows in order, so they equal
     # the sums over the whole chunk bit for bit.  So does each product: numpy
     # evaluates yf * conj(d) over 256 KiB or more in place in its temporary,
     # as conj(d) * yf, and the two orders round the imaginary part apart, so
     # every slice takes the order of its whole chunk's product.
     chunk = max(1, 4096 // l_eff)
-    step = max(1, _CHUNK_SAMPLES // perm.size)
+    step = max(1, PASS_SAMPLES // perm.size)
     for ci, done in enumerate(range(0, trials, chunk)):
         count = min(chunk, trials - done)
         swap = count * perm.size * 16 >= 256 * 1024
@@ -806,7 +820,7 @@ class IciConfig:
         if self.n < 1 or self.trials < 1:
             raise ShapeError(f"n and trials must be >= 1, got {self.n} and {self.trials}")
         size = self.n * self.n if self.perm == "transpose" else self.n  # of the map
-        # measure_ici runs up to _CHUNK_SAMPLES samples, or one map, at a time
+        # measure_ici runs up to PASS_SAMPLES samples, or one map, at a time
         _check_size("samples per map", size, _MAX_SAMPLES)
         _check_size("samples per run, trials * map size,", self.trials * size, _MAX_WORK)
         QamConstellation.square(self.m)

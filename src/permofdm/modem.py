@@ -14,10 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FramingError, ShapeError, out_array
-
-# Samples mapped or decided per pass, so the temporaries stay small.
-_DECISION_SLICE = 8192
+from .errors import PASS_SAMPLES, FramingError, ShapeError, out_array
 
 
 def gray_to_binary(g: int) -> int:
@@ -51,10 +48,6 @@ class QamConstellation:
         pts.setflags(write=False)
         return cls(M=M, points=pts, bits_per_symbol=k, levels_per_axis=L, scale=scale)
 
-    @property
-    def mean_energy(self) -> float:
-        return float(np.mean(np.abs(self.points) ** 2))
-
 
 def qam_modulate(bits: np.ndarray, c: QamConstellation) -> np.ndarray:
     """Map a flat 0/1 array (length divisible by bits_per_symbol) to symbols."""
@@ -79,9 +72,9 @@ def qam_symbols(bits: np.ndarray, c: QamConstellation, out=None):
         idx <<= 1
         idx |= bits[..., j]
     pts = out_array(out, idx.shape, np.complex128)
-    for s in range(0, idx.size, _DECISION_SLICE):  # take() widens a slice to intp
-        np.take(c.points, idx.reshape(-1)[s:s + _DECISION_SLICE],
-                out=pts.reshape(-1)[s:s + _DECISION_SLICE], mode="clip")
+    for s in range(0, idx.size, PASS_SAMPLES):  # take() widens a slice to intp
+        np.take(c.points, idx.reshape(-1)[s:s + PASS_SAMPLES],
+                out=pts.reshape(-1)[s:s + PASS_SAMPLES], mode="clip")
     return idx, pts
 
 
@@ -97,11 +90,11 @@ def qam_point_indices(symbols: np.ndarray, c: QamConstellation) -> np.ndarray:
     sym = np.ascontiguousarray(np.asarray(symbols, dtype=np.complex128).reshape(-1))
     bpa = c.bits_per_symbol // 2
     idx = np.empty(sym.size, dtype=np.min_scalar_type(c.M - 1))
-    for s in range(0, sym.size, _DECISION_SLICE):
-        part = sym[s:s + _DECISION_SLICE]
+    for s in range(0, sym.size, PASS_SAMPLES):
+        part = sym[s:s + PASS_SAMPLES]
         if not np.isfinite(part).all():
             raise ShapeError("symbols must be finite to be decided")
-        idx[s:s + _DECISION_SLICE] = demod_points(part.real, part.imag, c.levels_per_axis,
+        idx[s:s + PASS_SAMPLES] = demod_points(part.real, part.imag, c.levels_per_axis,
                                                   bpa, c.scale)
     return idx
 

@@ -120,10 +120,6 @@ class Permutation:
         inv[self._index] = np.arange(self.size)
         return inv
 
-    def inverse(self) -> "Permutation":
-        ramp = np.broadcast_to(np.arange(self.size), self.map.shape)
-        return Permutation(map=decrypt_block(ramp, self))
-
     @classmethod
     def identity(cls, size: int) -> "Permutation":
         return cls(map=np.arange(size, dtype=np.int64))

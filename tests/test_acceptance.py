@@ -64,6 +64,20 @@ def _crossing_db(snrs, bers, target):
     return None
 
 
+def _crossing_se(snrs, report, target):
+    """The standard error of _crossing_db on report's BER points, by the delta
+    method: its numerical gradient in each point's log10 BER times that log's
+    block-level standard error, over points taken as independent."""
+    bers = np.array([p.ber for p in report.points])
+    x, var, h = _crossing_db(snrs, bers, target), 0.0, 1e-6
+    for i, stop in enumerate(report.stops):
+        nudged = bers.copy()
+        nudged[i] *= 10.0 ** h
+        grad = (_crossing_db(snrs, nudged, target) - x) / h
+        var += (grad * stop.ber_se / (bers[i] * np.log(10.0))) ** 2
+    return float(np.sqrt(var))
+
+
 def test_criterion_1_modem_exactness():
     t0 = time.perf_counter()
     rng = np.random.default_rng(1)
@@ -288,7 +302,12 @@ def test_criterion_7c_extended_advantage():
     gap = None if x_std is None or x_mmse is None else x_std - x_mmse
     dt = time.perf_counter() - t0
     ok = gap is not None and gap >= 15.0
-    shown = "not bracketed" if gap is None else f"{gap:.2f} dB"
+    shown = "not bracketed"
+    if gap is not None:
+        half = 1.96 * np.hypot(_crossing_se(grid_std, std, 1e-4),
+                               _crossing_se(grid_mmse, mmse, 1e-4))
+        shown = (f"{gap:.2f} dB, block-level 95% interval "
+                 f"[{gap - half:.2f}, {gap + half:.2f}] dB")
     _verdict("7c", ok, f"MMSE advantage at BER 1e-4: {shown}, {dt:.0f}s")
 
 

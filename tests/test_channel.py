@@ -24,7 +24,8 @@ from permofdm import (
     freq_response,
     remove_cp,
 )
-from permofdm.channel import _NOISE_SLICE, awgn_draws
+from permofdm.channel import awgn_draws
+from permofdm.errors import PASS_SAMPLES
 
 PROFILE_FILE = Path(__file__).resolve().parents[1] / "profiles" / "paper_sec6.txt"
 
@@ -150,6 +151,22 @@ class TestStreamConvolution:
             want = np.fft.ifft(np.fft.fft(x, axis=1) * h[None, :], axis=1)
             assert np.max(np.abs(un - want)) < 1e-12
 
+    # Lengths at the edges of the PASS_SAMPLES segments, rows over three of
+    # them, and a transpose block at n = 256 (69,632 framed samples).
+    @pytest.mark.parametrize("size", [1, 11, 12, PASS_SAMPLES - 1, PASS_SAMPLES, PASS_SAMPLES + 1,
+                                      PASS_SAMPLES + 11, 2 * PASS_SAMPLES, 3 * PASS_SAMPLES + 5,
+                                      256 * 272])
+    @pytest.mark.parametrize("t", (1, 12))
+    def test_segments_equal_one_full_convolution_bit_for_bit(self, size, t):
+        rng = np.random.default_rng(13 * size + t)
+        taps = rng.normal(size=(3, t)) + 1j * rng.normal(size=(3, t))
+        stream = rng.normal(size=(3, size)) + 1j * rng.normal(size=(3, size))
+        stacked = apply_channel_stream(stream, taps)
+        for row, s, h in zip(stacked, stream, taps):
+            want = np.convolve(s, h)[:size]
+            assert np.array_equal(row, want)
+            assert np.array_equal(apply_channel_stream(s, h), want)
+
 
 class TestBatchedRows:
     """A stack of blocks, one channel per row, gives each row's own result bit for bit."""
@@ -262,13 +279,13 @@ class TestAwgn:
         assert np.array_equal(add_awgn(x, noise, np.random.default_rng(29)),
                               x + scale * (re + 1j * im))
 
-    # Lengths on both sides of _NOISE_SLICE, past which add_awgn draws a
+    # Lengths on both sides of PASS_SAMPLES, past which add_awgn draws a
     # part a slice at a time.
     @settings(max_examples=40, deadline=None)
     @given(rows=st.integers(1, 9),
            r=st.one_of(st.integers(1, 40), st.sampled_from([
-               _NOISE_SLICE // 2 - 1, _NOISE_SLICE // 2, _NOISE_SLICE // 2 + 1,
-               _NOISE_SLICE - 1, _NOISE_SLICE, _NOISE_SLICE + 1, 2 * _NOISE_SLICE + 5])),
+               PASS_SAMPLES // 2 - 1, PASS_SAMPLES // 2, PASS_SAMPLES // 2 + 1,
+               PASS_SAMPLES - 1, PASS_SAMPLES, PASS_SAMPLES + 1, 2 * PASS_SAMPLES + 5])),
            snr_db=st.floats(-10.0, 40.0), seed=st.integers(0, 2 ** 32 - 1))
     def test_equals_x_plus_the_lanes_draws(self, rows, r, snr_db, seed):
         x = np.random.default_rng(seed).standard_normal((rows, r, 2)).view(complex)[..., 0]
@@ -282,7 +299,7 @@ class TestAwgn:
 
     @settings(max_examples=40, deadline=None)
     @given(rows=st.integers(1, 9),
-           r=st.one_of(st.integers(0, 40), st.sampled_from([_NOISE_SLICE, 2 * _NOISE_SLICE + 5])),
+           r=st.one_of(st.integers(0, 40), st.sampled_from([PASS_SAMPLES, 2 * PASS_SAMPLES + 5])),
            snr_db=st.floats(-10.0, 40.0), seed=st.integers(0, 2 ** 32 - 1))
     def test_awgn_draws_take_each_row_in_one_call(self, rows, r, snr_db, seed):
         noise = NoiseSpec.from_snr_db(snr_db)
@@ -295,11 +312,11 @@ class TestAwgn:
         with pytest.raises(ShapeError, match="generators"):
             awgn_draws(noise, [np.random.default_rng(seed)] * (rows + 1), z)
 
-    # Sizes around _NOISE_SLICE, and a np.broadcast_to view, whose copy must
+    # Sizes around PASS_SAMPLES, and a np.broadcast_to view, whose copy must
     # still be C-ordered so that the noise reaches it.
     @settings(max_examples=60, deadline=None)
-    @given(size=st.sampled_from([0, 1, 2, _NOISE_SLICE - 1, _NOISE_SLICE, _NOISE_SLICE + 1,
-                                 2 * _NOISE_SLICE + 5]),
+    @given(size=st.sampled_from([0, 1, 2, PASS_SAMPLES - 1, PASS_SAMPLES, PASS_SAMPLES + 1,
+                                 2 * PASS_SAMPLES + 5]),
            layout=st.sampled_from(["flat", "column", "broadcast", "transposed"]),
            sigma_z2=st.floats(0.0, 10.0), seed=st.integers(0, 2 ** 32 - 1))
     def test_one_call_of_twin_draws(self, size, layout, sigma_z2, seed):
@@ -330,14 +347,14 @@ class TestAwgn:
 
     def test_noise_spec_roundtrip(self):
         ns = NoiseSpec.from_snr_db(7.0)
-        assert abs(ns.snr_db - 7.0) < 1e-12
+        assert abs(10.0 * math.log10(ns.snr) - 7.0) < 1e-12
         assert abs(ns.snr * ns.sigma_z2 - 1.0) < 1e-12
         with pytest.raises(ShapeError):
             add_awgn(np.zeros(3, dtype=complex), -1.0, np.random.default_rng(0))
 
     def test_zero_noise_power_has_an_infinite_snr(self):
         ns = NoiseSpec(0.0)
-        assert ns.snr == math.inf and ns.snr_db == math.inf
+        assert ns.snr == math.inf
         # MMSE at an infinite SNR is zero-forcing without a floor
         h = np.array([1.0, 0.5j, -2.0 + 1.0j, 0.25 - 0.75j])
         w = equalizer_weights(h, EqualizerKind(variant="mmse"), snr=ns.snr)

@@ -106,6 +106,17 @@ class TestIqFiles:
         assert y.dtype == np.complex64 and y.flags.writeable
         assert y.tobytes() == p.read_bytes()
 
+    def test_read_iq_holds_one_copy_of_the_file(self, tmp_path):
+        p = tmp_path / "big.iq"
+        write_iq(p, np.ones(1 << 17, dtype=np.complex64))
+        tracemalloc.start()
+        try:
+            y = read_iq(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert y.nbytes == p.stat().st_size and peak < 1.5 * y.nbytes
+
     def test_complex128_input_matches_a_split_float32_cast(self, tmp_path):
         rng = np.random.default_rng(5)
         parts = rng.standard_normal(4000) * 10.0 ** rng.uniform(-50, 50, 4000)
@@ -284,6 +295,15 @@ class TestCipherCommands:
         # ciphertext actually moved most samples
         y = read_iq(enc)
         assert np.count_nonzero(y != x) > 0.9 * x.size
+
+    @pytest.mark.parametrize("cmd", ("encrypt", "decrypt"))
+    def test_output_may_overwrite_the_input(self, tmp_path, cmd):
+        plain, key, _ = self._setup(tmp_path)
+        flags = ["--key", str(key), "--n", "16", "--l", "2"]
+        apart = tmp_path / "apart.iq"
+        assert main([cmd, str(plain), "--out", str(apart), *flags]) == 0
+        assert main([cmd, str(plain), "--out", str(plain), *flags]) == 0
+        assert plain.read_bytes() == apart.read_bytes()
 
     def test_block_counter_advances_per_block(self, tmp_path):
         plain, key, x = self._setup(tmp_path, n_samples=32)

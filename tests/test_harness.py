@@ -288,6 +288,21 @@ class TestBerExperiment:
         for workers in (2, 3):
             assert run_ber_experiment(cfg, workers=workers).to_csv() == a.to_csv()
 
+    def test_block_spread_is_worker_invariant(self):
+        # The keyed points above, and LANE below, whose last point has no error.
+        keyed = BerExperimentConfig(seed=31, n=32, interleaver="keyed", blocks=40,
+                                    snr_db=(0.0, 10.0, 12.0, 16.0), min_blocks=0, min_errors=30)
+        for cfg in (keyed, self.LANE):
+            runs = [run_ber_experiment(cfg, workers=workers) for workers in (1, 2, 3)]
+            assert len({run.to_csv() for run in runs}) == 1
+            spreads = {tuple((s.reason, s.ber_se, s.design_effect) for s in run.stops)
+                       for run in runs}
+            assert len(spreads) == 1
+        assert [s.ber_se > 0 and s.design_effect > 0 for s in runs[0].stops[:2]] == [True] * 2
+        assert (runs[0].stops[2].ber_se, runs[0].stops[2].design_effect) == (0.0, None)
+        one = run_ber_experiment(dataclasses.replace(keyed, blocks=1))
+        assert {(s.ber_se, s.design_effect) for s in one.stops} == {(None, None)}
+
     # Transpose blocks of 128 * (128 + 16) = 18,432 framed samples, over the
     # chunk budget, so a one-worker run computes them on two threads.
     LANE = BerExperimentConfig(seed=41, n=128, n_cp=16, snr_db=(0.0, 12.0, 24.0), blocks=6,
@@ -829,7 +844,7 @@ class TestIciMeasurement:
         rep = measure_ici(perm, trials=200, n=16)
         assert np.allclose(rep.alpha, 1.0, atol=1e-12)
         assert np.all(rep.beta_power < 1e-10)
-        assert rep.n == 16
+        assert rep.alpha.shape == rep.beta_power.shape == (1, 16)
 
     def test_reversal_closed_form(self):
         rev = Permutation(map=np.arange(8, dtype=np.int64)[::-1].copy())

@@ -39,7 +39,7 @@ class TestConstellation:
     def test_unit_mean_energy(self):
         for M in (4, 16, 64):
             c = QamConstellation.square(M)
-            assert abs(c.mean_energy - 1.0) < 1e-12
+            assert abs(np.mean(np.abs(c.points) ** 2) - 1.0) < 1e-12
 
     def test_rejects_non_square_sizes(self):
         for M in (2, 8, 32, 3, 0):

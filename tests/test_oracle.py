@@ -39,6 +39,7 @@ from permofdm import (
     ber_awgn_qam,
     run_ber_experiment,
 )
+from permofdm import harness
 
 # Symbol SNR per M, where the expected BER is 0.036-0.042.
 SNR_DB = {4: 5.0, 16: 11.0, 64: 17.0, 256: 22.0}
@@ -146,3 +147,51 @@ def test_rayleigh_zf_ber_matches_the_semi_analytic_curve(seed, link):
     mean = sum(excess) / blocks
     se = math.sqrt(sum((e - mean) ** 2 for e in excess) / (blocks - 1) / blocks)
     assert abs(mean) <= RAYLEIGH_Z * se, (mean, se)
+
+
+# Block-level spread.  Over AWGN every block draws its own bits and noise,
+# so the blocks of a point are independent and the variance of its BER over
+# blocks is that of its bit error count, as above.  At M = 4 that is
+# binomial, so the design effect is about 1; above, it is at most k/2 times
+# the expected count (and the bit positions of an axis, failing at unequal
+# rates, can take it below binomial).  As a ratio of variances over B
+# blocks, the design effect has a relative standard error of about
+# sqrt(2 / (B - 1)).
+DEFF_BLOCKS = 300
+DEFF_SEEDS = dict(zip(SNR_DB, range(7401, 7401 + len(SNR_DB))))
+DEFF_Z = NormalDist().inv_cdf(1 - FAMILY_ALPHA / (2 * len(SNR_DB)))
+
+
+@pytest.mark.parametrize("m", SNR_DB)
+def test_awgn_design_effect_is_binomial_up_to_k_over_2(m):
+    cfg = BerExperimentConfig(seed=DEFF_SEEDS[m], n=64, m=m, n_cp=8, interleaver="none",
+                              channel="awgn", snr_db=(SNR_DB[m],), blocks=DEFF_BLOCKS,
+                              min_errors=10 ** 9)
+    (stop,) = run_ber_experiment(cfg).stops
+    tol = DEFF_Z * math.sqrt(2 / (DEFF_BLOCKS - 1))
+    k = m.bit_length() - 1
+    if m == 4:
+        assert abs(stop.design_effect - 1) <= tol, stop
+    assert 0 < stop.design_effect <= k / 2 + tol, stop
+
+
+def test_rayleigh_ber_se_is_the_spread_of_one_block_tasks():
+    """A point's ber_se is the standard error of the mean of its blocks'
+    BERs, each computed as a one-block task, as the Rayleigh family above
+    takes it from one-block points."""
+    n, m, snr_db, blocks = 64, 16, 20.0, 60
+    cfg = BerExperimentConfig(seed=7501, n=n, m=m, interleaver="transpose", snr_db=(snr_db,),
+                              blocks=blocks, min_errors=10 ** 9)
+    report = run_ber_experiment(cfg)
+    (row,), (stop,) = report.points, report.stops
+    bits = n * n * (m.bit_length() - 1)
+    rates = [harness._ber_chunk_entry((cfg, 0, snr_db, b, b + 1))[0, 0] / bits
+             for b in range(blocks)]
+    mean = sum(rates) / blocks
+    se = math.sqrt(sum((r - mean) ** 2 for r in rates) / (blocks - 1) / blocks)
+    assert (row.trials, row.ber) == (blocks, pytest.approx(mean, rel=1e-12))
+    assert stop.ber_se == pytest.approx(se, rel=1e-9)
+    assert stop.design_effect == pytest.approx(
+        se ** 2 / (mean * (1 - mean) / (blocks * bits)), rel=1e-9)
+    # Fading moves whole blocks' errors together.
+    assert stop.design_effect > 10
