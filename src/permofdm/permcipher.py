@@ -16,6 +16,13 @@ Key schedule (pinned so independent implementations interoperate):
 The keystream is prefix-stable, so running out of bytes and retrying with
 a longer stream replays the same shuffle.
 
+The stream is computed through AES-GCM, whose key set-up is native, and
+its bytes are that CTR stream (NIST SP 800-38D): under a zero 96-bit nonce
+GCM encrypts with counter blocks 2, 3, ..., the tag of an empty message is
+block 1, and one zero block of associated data adds x**56 * H to that tag,
+where H = E(0**128) is block 0.  One GCM call takes at most 2**31 - 1
+bytes, which bounds the map size at about 1.38e8.
+
 ``derive_permutations(key, ells, size)`` is the key schedule's one entry:
 it returns the maps of blocks ells as one checked (B, size) Permutation
 stack.  From LOCKSTEP_MIN_ROWS rows on it shuffles them in one
@@ -40,7 +47,7 @@ import secrets
 from dataclasses import dataclass, field
 
 import numpy as np
-from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .errors import KeyFormatError, ShapeError, out_array
 
@@ -125,19 +132,41 @@ class Permutation:
         return cls(map=np.arange(size, dtype=np.int64))
 
 
-# Zero nonce for every block's AES-CTR; a mode object holds no stream state,
-# so one instance serves every encryptor.
-_CTR = modes.CTR(b"\x00" * 16)
+# The longest keystream: blocks 0, 1 and cryptography's most bytes per AESGCM.encrypt
+_MAX_STREAM = 32 + 2**31 - 1
+
+
+@functools.cache
+def _times_x_to_minus_56() -> np.ndarray:
+    """(16, 256, 16) uint8: [i, b] is x**-56 times (byte i = b, others 0) in GHASH's field."""
+    c, low = 1 << 127, []  # bit 127 - k is the coefficient of x**k
+    for _ in range(56):  # x**-1, ..., x**-56: add x**128+x**7+x**2+x+1 if x**0 is set, shift
+        c = ((c ^ 0xE1 << 120) << 1 & (1 << 128) - 1) | 1 if c >> 127 else c << 1
+        low.append(c)
+    cols = low[::-1] + [1 << 127 - m for m in range(72)]  # x**(k - 56) for k in 0..127
+    basis = np.frombuffer(b"".join(c.to_bytes(16, "big") for c in cols), np.uint8)
+    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+    return np.bitwise_xor.reduce(basis.reshape(16, 1, 8, 16) * bits[:, :, None], axis=2)
 
 
 def _keystreams(key: SecretKey, ells, n: int) -> np.ndarray:
-    """(B, n) uint8: the first n keystream bytes of each block in ells."""
-    zeros = bytes(n)
-    streams = []
-    for ell in ells:
-        seed = hashlib.sha256(key.key_bytes + ell.to_bytes(8, "big")).digest()
-        streams.append(Cipher(algorithms.AES(seed), _CTR).encryptor().update(zeros))
-    return np.frombuffer(b"".join(streams), dtype=np.uint8).reshape(len(streams), n)
+    """(B, n) uint8: the first n keystream bytes of each block in ells.
+
+    A row is one GCM encryption (blocks 2 on) and two tags (blocks 0, 1) in
+    one shared buffer; a body's tag spills into the next row's head, which
+    that row then overwrites.
+    """
+    width, body, nonce = max(n, 32), bytes(max(n - 32, 0)), bytes(12)
+    buf = bytearray(len(ells) * width + 16)
+    for at, ell in zip(range(0, len(ells) * width, width), ells):
+        gcm = AESGCM(hashlib.sha256(key.key_bytes + ell.to_bytes(8, "big")).digest())
+        buf[at + 32:at + width + 16] = gcm.encrypt(nonce, body, None)
+        buf[at:at + 16] = gcm.encrypt(nonce, b"", bytes(16))
+        buf[at + 16:at + 32] = gcm.encrypt(nonce, b"", None)
+    streams = np.frombuffer(buf, np.uint8, len(ells) * width).reshape(len(ells), width)
+    tags = streams[:, :16] ^ streams[:, 16:32]  # x**56 * H, H = E(0**128)
+    streams[:, :16] = np.bitwise_xor.reduce(_times_x_to_minus_56()[np.arange(16), tags], axis=1)
+    return streams[:, :n]
 
 
 def _stream_bytes(size: int) -> int:
@@ -353,10 +382,14 @@ def derive_permutations(key: SecretKey, ells, size: int) -> Permutation:
     if size == 1 or not ells:
         return Permutation(map=np.zeros((len(ells), size), dtype=np.int64))
     n = 4 * _stream_bytes(size) + 64
+    if n > _MAX_STREAM:
+        raise ShapeError(f"size {size} needs a keystream of {n} bytes, over {_MAX_STREAM}")
     maps, ok = _shuffle_rows(_keystreams(key, ells, n), size)
     redo = np.flatnonzero(~ok)
     while redo.size:
-        n *= 2
+        if n == _MAX_STREAM:
+            raise ShapeError(f"size {size}: {redo.size} maps ran out of {n} keystream bytes")
+        n = min(2 * n, _MAX_STREAM)
         maps[redo], ok = _shuffle_rows(_keystreams(key, [ells[r] for r in redo], n), size)
         redo = redo[~ok]
     return Permutation(map=maps)

@@ -35,7 +35,7 @@ from permofdm import (
     run_ser_attack_experiment,
 )
 import permofdm
-from permofdm import cli
+from permofdm import cli, permcipher
 from permofdm.cli import main
 from permofdm.fileio import (
     parse_bool,
@@ -331,6 +331,18 @@ class TestCipherCommands:
         main(["decrypt", str(enc), "--out", str(bad), "--key", str(other),
               "--n", "64"])
         assert np.count_nonzero(read_iq(bad) != x) > 0.95 * x.size
+
+    def test_size_over_the_stream_limit_is_one_error_line(self, tmp_path, monkeypatch, capsys):
+        plain, key, _ = self._setup(tmp_path)
+        out = tmp_path / "e.iq"
+        capsys.readouterr()
+        # the limit stands in for AES-GCM's 2**31 - 1 bytes per call
+        monkeypatch.setattr(permcipher, "_MAX_STREAM", 4 * permcipher._stream_bytes(64) + 63)
+        rc = main(["encrypt", str(plain), "--out", str(out), "--key", str(key), "--n", "16",
+                   "--l", "4"])
+        (line,) = capsys.readouterr().err.splitlines()
+        assert rc == 2 and line.startswith("error: size 64 needs a keystream")
+        assert not out.exists()
 
     def test_partial_block_rejected(self, tmp_path):
         plain, key, _ = self._setup(tmp_path, n_samples=60)

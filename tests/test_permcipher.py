@@ -1,12 +1,14 @@
 """Keyed permutation cipher: frozen vectors, statistical uniformity,
 bijection/roundtrip properties, and scrambling strength."""
 
+import hashlib
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from permofdm import harness, permcipher
@@ -167,6 +169,43 @@ class TestBatchedDerivation:
         assert np.array_equal(derive_permutations(KEY, [0, 9, 2**64 - 1], 300).map, want)
         assert np.array_equal(derive_permutation(KEY, 9, 300).map, want[1])
 
+    def test_doubling_stops_at_the_stream_limit(self, monkeypatch):
+        ells = [0, 9, 2**64 - 1]
+        want = derive_permutations(KEY, ells, 300).map
+        need = max(permcipher.fisher_yates(stream, 300)[1]
+                   for stream in permcipher._keystreams(KEY, ells, 4096))
+        lengths = []
+        keystreams = permcipher._keystreams
+
+        def counted(key, ells, n):
+            lengths.append(n)
+            return keystreams(key, ells, n)
+
+        monkeypatch.setattr(permcipher, "_keystreams", counted)
+        monkeypatch.setattr(permcipher, "_stream_bytes", lambda size: 0)  # 64-byte first stream
+        monkeypatch.setattr(permcipher, "_MAX_STREAM", need)
+        assert np.array_equal(derive_permutations(KEY, ells, 300).map, want)
+        assert lengths[-1] == need and max(lengths[:-1]) < need
+        # one byte short, the row that reads the most runs out at the limit
+        monkeypatch.setattr(permcipher, "_MAX_STREAM", need - 1)
+        with pytest.raises(ShapeError, match="ran out"):
+            derive_permutations(KEY, ells, 300)
+
+    def test_size_over_the_stream_limit_is_refused_before_keystream_work(self, monkeypatch):
+        def no_keystream(*args):
+            raise AssertionError("keystream drawn")
+
+        # every size up to the harness bound 2**26 fits, with one doubling
+        assert 2 * (4 * permcipher._stream_bytes(2**26) + 64) <= permcipher._MAX_STREAM
+        monkeypatch.setattr(permcipher, "_keystreams", no_keystream)
+        with pytest.raises(ShapeError, match="needs a keystream"):
+            derive_permutations(KEY, [0], 139_000_000)
+        monkeypatch.setattr(permcipher, "_MAX_STREAM", 4 * permcipher._stream_bytes(300) + 64)
+        with pytest.raises(AssertionError):
+            derive_permutations(KEY, [0], 300)  # the first stream just fits
+        with pytest.raises(ShapeError, match="needs a keystream"):
+            derive_permutations(KEY, [0], 301)
+
     def test_input_checks_come_before_keystream_work(self, monkeypatch):
         def no_keystream(*args):
             raise AssertionError("keystream drawn")
@@ -201,6 +240,63 @@ class TestBatchedDerivation:
         assert np.array_equal(row.map, stack.map[1]) and not row.map.flags.writeable
         with pytest.raises(ShapeError):
             row[0]
+
+
+def _ctr_stream(key_bytes, ell, n):
+    """The pinned keystream, straight from the contract: AES-256-CTR over zeros."""
+    seed = hashlib.sha256(key_bytes + ell.to_bytes(8, "big")).digest()
+    return Cipher(algorithms.AES(seed), modes.CTR(bytes(16))).encryptor().update(bytes(n))
+
+
+def _gf_mul(x, y):
+    """x * y in GHASH's field, bit by bit (NIST SP 800-38D, Algorithm 1)."""
+    z, v = 0, y
+    for i in range(128):
+        if x >> (127 - i) & 1:
+            z ^= v
+        v = (v >> 1) ^ (0xE1 << 120) if v & 1 else v >> 1
+    return z
+
+
+FIRST_STREAM_4096 = 4 * permcipher._stream_bytes(4096) + 64
+
+
+class TestKeystream:
+    @settings(max_examples=120, deadline=None)
+    @given(key=st.binary(min_size=16, max_size=64),
+           ells=st.lists(st.one_of(st.sampled_from((0, 2**32 - 1, 2**32, 2**64 - 1)),
+                                   st.integers(0, 2**64 - 1)), min_size=1, max_size=4),
+           n=st.one_of(st.integers(1, 32), st.integers(1, 5000), st.just(FIRST_STREAM_4096)))
+    @example(key=bytes(range(64)), ells=[0, 2**32 - 1, 2**32, 2**64 - 1], n=FIRST_STREAM_4096)
+    @example(key=bytes(16), ells=[2**64 - 1], n=1)
+    @example(key=bytes(16), ells=[0, 2**32], n=33)
+    def test_equals_the_aes_ctr_stream(self, key, ells, n):
+        got = permcipher._keystreams(SecretKey(key), ells, n)
+        assert got.shape == (len(ells), n) and got.dtype == np.uint8
+        for row, ell in zip(got, ells):
+            assert row.tobytes() == _ctr_stream(key, ell, n), (ell, n)
+
+    def test_x_to_minus_56_table_inverts_a_bitwise_multiply_by_x_to_56(self):
+        table = permcipher._times_x_to_minus_56()
+        assert table.shape == (16, 256, 16) and table.dtype == np.uint8
+        rng = np.random.default_rng(56)
+        blocks = [1 << k for k in range(128)] + [(1 << 128) - 1]
+        blocks += [int.from_bytes(rng.bytes(16), "big") for _ in range(300)]
+        x56 = 1 << (127 - 56)
+        for v in blocks:
+            got = np.bitwise_xor.reduce(table[np.arange(16), list(v.to_bytes(16, "big"))])
+            assert _gf_mul(int.from_bytes(got.tobytes(), "big"), x56) == v
+
+    def test_the_batch_is_held_once(self):
+        n = 4 * permcipher._stream_bytes(64) + 64
+        permcipher._times_x_to_minus_56()  # built once per process, not per batch
+        tracemalloc.start()
+        try:
+            streams = permcipher._keystreams(KEY, range(1000), n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert streams.shape == (1000, n) and peak < 2.5 * streams.nbytes, peak / streams.nbytes
 
 
 def test_each_derived_map_is_checked_once(monkeypatch, tmp_path):
