@@ -191,29 +191,22 @@ class TestBatchedDerivation:
         with pytest.raises(ShapeError, match="ran out"):
             derive_permutations(KEY, ells, 300)
 
-    def test_size_over_the_stream_limit_is_refused_before_keystream_work(self, monkeypatch):
-        def no_keystream(*args):
-            raise AssertionError("keystream drawn")
-
-        # every size up to the harness bound 2**26 fits, with one doubling
-        assert 2 * (4 * permcipher._stream_bytes(2**26) + 64) <= permcipher._MAX_STREAM
-        monkeypatch.setattr(permcipher, "_keystreams", no_keystream)
-        with pytest.raises(ShapeError, match="needs a keystream"):
-            derive_permutations(KEY, [0], 139_000_000)
-        monkeypatch.setattr(permcipher, "_MAX_STREAM", 4 * permcipher._stream_bytes(300) + 64)
-        with pytest.raises(AssertionError):
-            derive_permutations(KEY, [0], 300)  # the first stream just fits
-        with pytest.raises(ShapeError, match="needs a keystream"):
-            derive_permutations(KEY, [0], 301)
-
     def test_input_checks_come_before_keystream_work(self, monkeypatch):
         def no_keystream(*args):
             raise AssertionError("keystream drawn")
 
         monkeypatch.setattr(permcipher, "_keystreams", no_keystream)
-        for size in (0, -1):
+        for size in (0, -1, 139_000_000):  # the last needs a first stream over 2**31 bytes
             with pytest.raises(ShapeError):
                 derive_permutations(KEY, [0, 1], size)
+        # every size up to the harness bound 2**26 fits, with one doubling
+        assert 2 * (4 * permcipher._stream_bytes(2**26) + 64) <= permcipher._MAX_STREAM
+        with monkeypatch.context() as m:
+            m.setattr(permcipher, "_MAX_STREAM", 4 * permcipher._stream_bytes(300) + 64)
+            with pytest.raises(AssertionError, match="keystream drawn"):
+                derive_permutations(KEY, [0], 300)  # the first stream just fits
+            with pytest.raises(ShapeError, match="needs a keystream"):
+                derive_permutations(KEY, [0], 301)
         for ells in ([-1], [0, 2**64], [3, 2**64 + 5, 4]):
             with pytest.raises(ShapeError):
                 derive_permutations(KEY, ells, 8)
