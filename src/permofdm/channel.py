@@ -35,10 +35,6 @@ class ChannelProfile:
         object.__setattr__(self, "mean_powers", p)
 
     @property
-    def n_taps(self) -> int:
-        return int(self.delays.size)
-
-    @property
     def max_delay(self) -> int:
         return int(self.delays[-1])
 
@@ -78,7 +74,7 @@ class NoiseSpec:
 def draw_rayleigh_channel(profile: ChannelProfile, rng: np.random.Generator) -> np.ndarray:
     """Independent CN(0, p_m) taps at the profile delays (Rayleigh magnitudes),
     as a read-only complex128 vector h[0..max_delay] that is 0 at other delays."""
-    k = profile.n_taps
+    k = profile.delays.size
     g = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) / np.sqrt(2.0)
     taps = np.zeros(profile.max_delay + 1, dtype=np.complex128)
     taps[profile.delays] = np.sqrt(profile.mean_powers) * g

@@ -128,8 +128,6 @@ def _parser(tp):
     return str if tp in _LOADERS or _choices(tp) else _PARSERS.get(tp, tp)
 
 
-# Cached because main() builds the parser on every call.
-@functools.cache
 def _options(cls) -> tuple:
     """(flag dest, type) of each field of a config dataclass, nested ones flattened."""
     out = ()
@@ -139,7 +137,6 @@ def _options(cls) -> tuple:
     return out
 
 
-@functools.cache
 def _runner_options(runner) -> tuple:
     """(name, type) of each keyword argument a runner takes after its config."""
     return tuple((p.name, p.annotation)
@@ -217,6 +214,7 @@ _EXPERIMENTS = (
 )
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every main() call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="permofdm",

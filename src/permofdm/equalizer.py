@@ -40,17 +40,19 @@ class EqualizerKind:
                 raise ShapeError(f"{name} must be positive and finite when set")
 
 
-def _floor_response(h: np.ndarray, eps: float) -> np.ndarray:
-    """Replace |H_k| < eps by eps * H_k/|H_k| (eps itself where H_k == 0)."""
+def _floor_response(h: np.ndarray, eps: float, lift=None) -> np.ndarray:
+    """Give each H_k with |H_k| < eps the magnitude lift(|H_k|), keeping its
+    phase; an exact zero becomes lift(0).  lift defaults to the constant eps."""
     mag = np.abs(h)
     weak = mag < eps
     if not np.any(weak):
         return h
+    lift = lift or (lambda m: eps)
     out = h.copy()
     zero = mag == 0
     fix = weak & ~zero
-    out[fix] = eps * h[fix] / mag[fix]
-    out[zero] = eps
+    out[fix] = h[fix] * lift(mag[fix]) / mag[fix]
+    out[zero] = lift(0.0)
     return out
 
 
@@ -61,14 +63,8 @@ def equalizer_weights(h: np.ndarray, kind: EqualizerKind, snr: float | None = No
             raise ShapeError("mmse weights need a positive snr")
         w = np.conj(h) / (np.abs(h) ** 2 + 1.0 / snr)
     else:
-        heff = h
-        if kind.fade_bias is not None:
-            mag = np.abs(h)
-            weak = mag < kind.fade_bias
-            heff = h.copy()
-            nz = weak & (mag > 0)
-            heff[nz] = h[nz] * (mag[nz] + kind.fade_bias) / mag[nz]
-            heff[weak & (mag == 0)] = kind.fade_bias
+        bias = kind.fade_bias
+        heff = h if bias is None else _floor_response(h, bias, lambda m: m + bias)
         w = 1.0 / _floor_response(heff, kind.zf_floor)
     if kind.discard_below is not None:
         w = w.copy()

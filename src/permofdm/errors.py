@@ -5,6 +5,8 @@ import numpy as np
 
 # Samples a kernel handles per pass (QAM mapping and decisions, noise draws,
 # convolution segments, measure_ici slices), so its temporaries stay small.
+# It also bounds a BER task's framed samples: many small blocks share a task,
+# and a larger block (a transpose block at n=256 is 69,632 samples) runs alone.
 PASS_SAMPLES = 8192
 
 

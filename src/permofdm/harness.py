@@ -22,7 +22,7 @@ it: each chunk ends at the point's stop as predicted from its running error
 rate, and the chunks the predictions say are needed come first, earliest
 point first, before any past a prediction.  One worker computes the chunks
 in turn, so it computes past a stop only the rest of the chunk that reaches
-it; blocks over the chunk budget it computes on two threads of its own.
+it; blocks over the pass budget it computes on two threads of its own.
 A pool keeps more chunks in flight, and lets go of those past a stop.
 """
 
@@ -86,9 +86,6 @@ ChannelModel = Literal["rayleigh", "awgn"]
 IciPerm = Literal["identity", "reversal", "random", "transpose", "keyed"]
 
 _SER_CHUNK = 32  # OFDM symbols per task; fixed so results never depend on workers
-# Framed samples per BER task at most: many small blocks share a task, and a
-# large block (a transpose block at n=256 is 69,632 samples) runs alone.
-_CHUNK_SAMPLES = 8192
 
 
 @dataclass(frozen=True)
@@ -456,7 +453,7 @@ class _BerStream:
         self.min_blocks = cfg.min_blocks if cfg.min_blocks is not None else min(200, cfg.blocks)
         self.syms = cfg.symbols_per_block * cfg.n
         self.bits = self.syms * QamConstellation.square(cfg.m).bits_per_symbol
-        self.most = max(1, _CHUNK_SAMPLES // (cfg.symbols_per_block * (cfg.n + cfg.n_cp)))
+        self.most = max(1, PASS_SAMPLES // (cfg.symbols_per_block * (cfg.n + cfg.n_cp)))
         # The fewest blocks that reach a cap; exact, as the size bounds keep blocks * bits < 2**53.
         self.cap = min(cfg.blocks, math.ceil(cfg.max_bits / self.bits))
         self.points = [_PointTally(pi, float(snr_db)) for pi, snr_db in enumerate(cfg.snr_db)]
@@ -542,8 +539,8 @@ def run_ber_experiment(cfg: BerExperimentConfig, workers: int = 1) -> TrialRepor
     if cfg.channel == "rayleigh" and cfg.profile.max_delay > cfg.n_cp:
         warnings.warn(f"channel memory {cfg.profile.max_delay} exceeds cyclic prefix "
                       f"{cfg.n_cp}; inter-block interference will leak", stacklevel=2)
-    # One worker computes blocks over the chunk budget on two threads.
-    threads = workers == 1 and cfg.symbols_per_block * (cfg.n + cfg.n_cp) > _CHUNK_SAMPLES
+    # One worker computes blocks over the pass budget on two threads.
+    threads = workers == 1 and cfg.symbols_per_block * (cfg.n + cfg.n_cp) > PASS_SAMPLES
     return _run(_BerStream(cfg), _ber_chunk_entry, 2 if threads else workers, threads=threads)
 
 

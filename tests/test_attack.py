@@ -108,6 +108,10 @@ class TestAveragingAttack:
         with pytest.raises(ShapeError):
             averaging_attack(np.ones(4, dtype=complex),
                              np.ones((0, 4), dtype=complex))
+        # one observation may come as a 1-D block
+        x = _probe(np.random.default_rng(58), 8)
+        true = derive_permutation(KEY, 3, 8)
+        assert np.array_equal(averaging_attack(x, encrypt_block(x, true)).map, true.map)
 
 
 class TestBruteForce:
@@ -149,6 +153,11 @@ class TestBruteForce:
         y = encrypt_block(x, true)
         assert np.array_equal(brute_force_attack(x, y).map,
                               match_noiseless(x, y).map)
+
+    def test_size_mismatch(self):
+        for x, y in ((np.ones(3), np.ones(4)), (np.ones(0), np.ones(0))):
+            with pytest.raises(ShapeError, match="equal nonzero size"):
+                brute_force_attack(x, y)
 
     def test_refusal_above_size_eight(self):
         x = np.zeros(9, dtype=complex)

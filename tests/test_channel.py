@@ -54,6 +54,9 @@ class TestProfile:
             ChannelProfile(delays=np.array([0, 0]), mean_powers=np.array([0.5, 0.5]))
         with pytest.raises(ShapeError):
             ChannelProfile(delays=np.array([0, 1]), mean_powers=np.array([0.5, -0.1]))
+        for delays, powers in (([0, 1], [1.0]), ([], []), ([[0, 1]], [[0.5, 0.5]])):
+            with pytest.raises(ShapeError, match="equal-length 1-D"):
+                ChannelProfile(delays=np.array(delays), mean_powers=np.array(powers))
 
     @pytest.mark.parametrize("powers", [[np.nan], [np.inf], [0.5, np.nan], [1e308, 1e308]])
     def test_non_finite_powers_rejected(self, powers):

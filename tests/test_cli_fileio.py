@@ -639,6 +639,18 @@ class TestSimulationCommands:
         assert err == [f"error: workers must be >= 1, got {workers}"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,message", [
+        (["simulate-ber", "--l-depth", "0", "--interleaver", "keyed"], "l_depth must be >= 1"),
+        (["simulate-attack-recovery", "--size", "1"], "size must be >= 2"),
+        (["simulate-attack-recovery", "--repeats", "0"], "repeats and trials must be >= 1"),
+    ], ids=["l-depth", "size", "repeats"])
+    def test_run_size_below_its_minimum_is_one_error_line(self, tmp_path, capsys, argv,
+                                                          message):
+        out = tmp_path / "x.csv"
+        assert main([*argv, "--seed", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
     def test_measure_ici_zero_n_fails_cleanly(self, tmp_path, capsys):
         rc = main(["measure-ici", "--seed", "0", "--n", "0", "--perm", "identity",
                    "--out", str(tmp_path / "ici.csv")])

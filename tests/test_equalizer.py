@@ -96,6 +96,13 @@ class TestWeights:
         assert abs(w[0] - 1.0) < 1e-12
         assert abs(w[1] - 1.0 / 0.11) < 1e-9
 
+    def test_discard_reads_the_response_before_the_fade_bias(self):
+        # Bin 1 is under discard_below, though its biased magnitude 0.15 is
+        # not; bin 2 is over it, and is biased to 0.18.
+        h = np.array([1.0, 0.05, 0.08], dtype=complex)
+        w = equalizer_weights(h, EqualizerKind(fade_bias=0.1, discard_below=0.07))
+        assert w[0] == 1.0 and w[1] == 0.0 and abs(w[2] - 1.0 / 0.18) < 1e-9
+
     def test_kind_validation(self):
         with pytest.raises(ShapeError):
             EqualizerKind(variant="dfe")
@@ -199,6 +206,9 @@ class TestNoiseMixing:
             noise_mixing_row(h)
         with pytest.raises(SingularChannelError):
             conditional_snr_zf(h, 10.0)
+        for snr in (0.0, -1.0):
+            with pytest.raises(ShapeError, match="snr must be positive"):
+                conditional_snr_zf(np.ones(4, dtype=complex), snr)
 
 
 class TestSubcarrierOrthogonality:

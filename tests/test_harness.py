@@ -41,6 +41,7 @@ from permofdm import (
     transpose_interleaver,
     wald_halfwidth,
 )
+from permofdm.errors import PASS_SAMPLES
 
 KEY = SecretKey(bytes(range(32)))
 
@@ -397,7 +398,7 @@ class TestBerExperiment:
             return fn(task)
         monkeypatch.setattr(harness, "_ber_chunk_entry", entry)
         report = run_ber_experiment(cfg)
-        most = harness._CHUNK_SAMPLES // 80
+        most = PASS_SAMPLES // 80
         assert sum(chunks) == sum(s.submitted for s in report.stops)
         assert sum(chunks) >= 10 * len(chunks)
         for s, p in zip(report.stops, report.points):
@@ -516,7 +517,7 @@ class TestBerExperiment:
             assert report.to_csv() == "\n".join([CSV_HEADER, *rows]) + "\n", kwargs
             assert [s.reason for s in report.stops] == [
                 self.stop_reason(cfg, p) for p in report.points], kwargs
-            most = max(1, harness._CHUNK_SAMPLES // (cfg.symbols_per_block * (cfg.n + cfg.n_cp)))
+            most = max(1, PASS_SAMPLES // (cfg.symbols_per_block * (cfg.n + cfg.n_cp)))
             for s, p in zip(report.stops, report.points):
                 assert s.submitted >= p.trials and 0 <= s.cancelled <= s.submitted - p.trials
                 assert workers > 1 or (s.cancelled == 0 and 0 <= s.submitted - p.trials < most)
@@ -603,6 +604,8 @@ class TestBerExperiment:
             BerExperimentConfig(seed=0, channel="rician")
         with pytest.raises(ShapeError):
             BerExperimentConfig(seed=0, blocks=0)
+        with pytest.raises(ShapeError, match="l_depth"):
+            BerExperimentConfig(seed=0, l_depth=0)
         for m in (2, 6, 8):
             with pytest.raises(ShapeError):
                 BerExperimentConfig(seed=0, m=m)
@@ -736,6 +739,14 @@ class TestAttackRecoveryExperiment:
         pt = run_attack_recovery_experiment(cfg).points[0]
         assert pt.interleaver == "fresh"
         assert pt.ser >= 0.7  # near the 1 - 1/size chance floor
+
+    def test_validation(self):
+        with pytest.raises(ShapeError, match="size must be >= 2"):
+            AttackRecoveryConfig(seed=0, size=1)
+        for kwargs in (dict(repeats=0), dict(trials=0)):
+            with pytest.raises(ShapeError, match="repeats and trials"):
+                AttackRecoveryConfig(seed=0, **kwargs)
+        AttackRecoveryConfig(seed=0, size=2, repeats=1, trials=1)
 
     def test_worker_invariance(self):
         cfg = AttackRecoveryConfig(seed=33, size=8, snr_db=0.0, repeats=64,

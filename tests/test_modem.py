@@ -176,6 +176,8 @@ class TestTransforms:
     def test_empty_rejected(self):
         with pytest.raises(ShapeError):
             ifft_modulate(np.array([], dtype=complex))
+        with pytest.raises(ShapeError, match="empty sample vector"):
+            fft_demodulate(np.array([], dtype=complex))
 
 
 class TestCyclicPrefix:

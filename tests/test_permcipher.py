@@ -105,6 +105,8 @@ class TestDerivation:
             derive_permutation(KEY, -1, 8)
         with pytest.raises(ShapeError):
             derive_permutation(KEY, 0, 0)
+        with pytest.raises(ShapeError, match="non-negative"):
+            keyspace_bits(-1)
         with pytest.raises(KeyFormatError):
             SecretKey(b"short")
         with pytest.raises(KeyFormatError):
