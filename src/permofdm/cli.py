@@ -161,7 +161,9 @@ def _resolve(args, options) -> dict:
     conf = read_config(args.config) if args.config else {}
     dests = {dest for dest, _ in options}
     for alias, dest in _ALIASES.items():
-        if alias in conf and dest in dests and dest not in conf:
+        if alias in conf and dest in dests:
+            if dest in conf:
+                raise ValueError(f"{args.config}: config key {dest} is set twice, once as {alias}")
             conf[dest] = conf.pop(alias)
     unknown = sorted(conf.keys() - dests)
     if unknown:

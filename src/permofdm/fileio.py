@@ -69,7 +69,7 @@ def read_text(path) -> str:
 
 
 def read_config(path) -> dict:
-    """Parse `key = value` lines; keys are lowercased, values raw strings."""
+    """Parse `key = value` lines; keys, each set once, are lowercased, values raw strings."""
     out = {}
     for lineno, raw in enumerate(read_text(path).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -78,7 +78,10 @@ def read_config(path) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key = value, got {raw!r}")
         key, _, value = line.partition("=")
-        out[key.strip().lower().replace("-", "_")] = value.strip()
+        key = key.strip().lower().replace("-", "_")
+        if key in out:
+            raise ValueError(f"{path}:{lineno}: config key {key} is set twice")
+        out[key] = value.strip()
     return out
 
 

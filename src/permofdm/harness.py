@@ -30,6 +30,7 @@ import concurrent.futures
 import hashlib
 import itertools
 import math
+import os
 import threading
 import warnings
 from collections import deque
@@ -211,15 +212,14 @@ def _run(stream, entry, workers: int, threads: bool = False) -> TrialReport:
     """Compute a stream's tasks through entry, fold each result into the
     stream as soon as it is taken, in task order, and return stream.report().
 
-    stream.tasks() picks each task only when asked, from the results folded
-    by then.  One worker computes each task in this thread, and folds it
-    before it asks for the next.  More workers are processes or, given
-    threads, threads of this process, each computing in its own chain
-    buffers; they keep 2 * workers tasks in flight.  After each result,
-    those whose point has stopped(task) are let go: one not yet started is
-    cancelled and folded as None, and one already running is not waited
-    for.  When the run ends or raises, the tasks not yet started are
-    cancelled.
+    stream.tasks() picks each task only when asked, from the results folded by
+    then.  One worker computes each task in this thread, and folds it before it
+    asks for the next.  More workers are processes or, given threads, threads of
+    this process, at most one per CPU (fork starts them all at once), each in
+    its own chain buffers; they keep 2 * workers tasks in flight.  After each
+    result, those whose point has stopped(task) are let go: one not yet started
+    is cancelled and folded as None, and one already running is not waited for.
+    When the run ends or raises, the tasks not yet started are cancelled.
     """
     _check_workers(workers)
     try:
@@ -229,7 +229,7 @@ def _run(stream, entry, workers: int, threads: bool = False) -> TrialReport:
         else:
             # The thread module of concurrent.futures loads here, not on import.
             pool = concurrent.futures.ThreadPoolExecutor if threads else ProcessPoolExecutor
-            executor = pool(max_workers=workers)
+            executor = pool(max_workers=min(workers, os.cpu_count() or 1))
             try:
                 tasks, pending = stream.tasks(), deque()
                 while True:

@@ -2,7 +2,7 @@
 
 Permutation semantics: a map pi of length `size` scrambles a flat,
 symbol-major sample vector so that output position n carries input
-sample pi[n].  Decryption applies the inverse map.
+sample pi[n].  Decryption puts sample n back at position pi[n].
 
 Key schedule (pinned so independent implementations interoperate):
 
@@ -34,9 +34,9 @@ one-block case.
 map.  They take any number of whole blocks at once: a ``Permutation`` holds
 one map, which serves every block, or a (B, size) stack, whose row r serves
 block r; ``encrypt_block`` also spreads one block through every map of a
-stack.  Both are gathers by np.take (decryption of a single map through
-its inverse, computed once per Permutation), and both write into an
-``out=`` array when given one.
+stack.  Encryption gathers by np.take; decryption gathers the same way by a
+map that is its own inverse (the transpose interleaver's) and otherwise
+scatters to flat positions.  Both write into an ``out=`` array if given one.
 """
 
 import functools
@@ -91,6 +91,7 @@ class Permutation:
     """
 
     map: np.ndarray = field(repr=False)
+    _inverse_map = None  # the map's index when it is its own inverse, else None
 
     def __post_init__(self):
         m = np.array(self.map)
@@ -119,13 +120,6 @@ class Permutation:
     @property
     def size(self) -> int:
         return int(self.map.shape[-1])
-
-    @functools.cached_property
-    def _inverse_map(self) -> np.ndarray:
-        """The inverse of a single map, computed once (transpose_interleaver presets it)."""
-        inv = np.empty_like(self._index)
-        inv[self._index] = np.arange(self.size)
-        return inv
 
     @classmethod
     def identity(cls, size: int) -> "Permutation":
@@ -415,7 +409,7 @@ def transpose_interleaver(n: int) -> Permutation:
     ramp = np.arange(n, dtype=np.int64)
     # a permutation by construction, built in one (n, n) array and not checked
     p = object.__new__(Permutation)._hold((ramp[:, None] + n * ramp).reshape(-1))
-    p.__dict__["_inverse_map"] = p._index  # an involution: decryption needs no inverse built
+    object.__setattr__(p, "_inverse_map", p._index)  # an involution: decryption gathers
     return p
 
 
@@ -453,11 +447,11 @@ def encrypt_block(x: np.ndarray, p: Permutation, out=None) -> np.ndarray:
 
 
 def decrypt_block(y: np.ndarray, p: Permutation, out=None) -> np.ndarray:
-    """Inverse of encrypt_block under the same permutation, one block per map."""
+    """Undo encrypt_block, one block per map: a gather by a self-inverse map, else a scatter."""
     y = np.asarray(y)
     count = _blocks(p, y)
     out = out_array(out, y.shape, y.dtype)
-    if p.map.ndim == 1:
+    if p._inverse_map is not None:
         np.take(y.reshape(count, p.size), p._inverse_map, axis=1,
                 out=out.reshape(count, p.size), mode="clip")
     else:

@@ -463,6 +463,26 @@ class TestSimulationCommands:
         assert len(err) == 1 and err[0].startswith("error:") and "blocsk" in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("cmd,lines,key", [
+        ("simulate-ber", "blocks = 2\nBlocks = 3\n", "blocks"),
+        ("simulate-ber", "snr-db = 10\nsnr_db = 30\n", "snr_db"),
+        ("simulate-attack-recovery", "repeats = 4\nk = 5\n", "repeats"),
+        ("simulate-attack-recovery", "K = 5\nrepeats = 4\n", "repeats"),
+        ("simulate-attack-recovery", "fresh-perm = true\nfresh_perm_per_block = false\n",
+         "fresh_perm"),
+    ])
+    def test_key_set_twice_fails_cleanly(self, tmp_path, capsys, cmd, lines, key):
+        """A key given twice, by spelling, case or alias, is one error naming file and key."""
+        conf = tmp_path / "twice.conf"
+        base = {"simulate-ber": "seed = 1\nn = 8\nchannel = awgn\n",
+                "simulate-attack-recovery": "seed = 1\nsize = 8\ntrials = 1\n"}
+        conf.write_text(base[cmd] + lines)
+        out = tmp_path / "x.csv"
+        assert main([cmd, "--config", str(conf), "--out", str(out)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {conf}") and f" {key} is set twice" in line
+        assert not out.exists()
+
     def test_measure_ici_identity_output(self, tmp_path):
         out = tmp_path / "ici.csv"
         rc = main(["measure-ici", "--seed", "0", "--n", "8", "--trials", "64",
@@ -780,7 +800,7 @@ def test_flag_beats_config_file(case, file_value, flag_value):
     cmd, key, flag, read = case
     with tempfile.TemporaryDirectory() as d:
         conf = Path(d) / "c.conf"
-        conf.write_text(f"seed = 1\n{key} = {file_value}\n")
+        conf.write_text(("" if key == "seed" else "seed = 1\n") + f"{key} = {file_value}\n")
         argv = [cmd, "--config", str(conf)]
         assert read(_resolved_config(argv)) == file_value
         assert read(_resolved_config(argv + [flag, str(flag_value)])) == flag_value

@@ -3,7 +3,10 @@ formatting, sample-mixing model, and per-subcarrier mixing measurement."""
 
 import dataclasses
 import math
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+import os
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -676,6 +679,31 @@ class TestSerAttackExperiment:
                               k_values=(0, 8), trials=70)
         assert (run_ser_attack_experiment(cfg).to_csv()
                 == run_ser_attack_experiment(cfg, workers=3).to_csv())
+
+    def test_pool_holds_at_most_one_process_per_cpu(self, monkeypatch):
+        """Fork starts a pool's every process at once, so --workers is capped at the CPUs."""
+        sizes = []
+
+        class InlinePool:  # records its size and runs each task at submit
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+            def shutdown(self, cancel_futures):
+                pass
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        cfg = SerAttackConfig(seed=22, n=16, m_values=(4, 16), k_values=(0, 8), trials=70)
+        threads = threading.active_count()
+        report = run_ser_attack_experiment(cfg, workers=10**6)
+        assert sizes == [min(10**6, os.cpu_count() or 1)]
+        assert threading.active_count() == threads and multiprocessing.active_children() == []
+        serial = run_ser_attack_experiment(cfg)
+        assert (report.to_csv(), report.stops) == (serial.to_csv(), serial.stops)
 
     # captured when each (M, k) point ran through its own task map
     GOLDEN = [

@@ -428,6 +428,22 @@ class TestBatchApplication:
         assert np.array_equal(y, np.stack([x[m] for m in p.map]))
         assert np.array_equal(decrypt_block(y, p), np.broadcast_to(x, y.shape))
 
+    @pytest.mark.parametrize("count", [1, 3])
+    @pytest.mark.parametrize("which", ["single", "stack", "transpose"])
+    def test_in_place_decrypt_equals_a_fresh_one(self, which, count):
+        """decrypt_block(y, p, out=y), as the CLI runs it, gives decrypt_block(y, p)."""
+        size = 16
+        p = {"single": derive_permutation(KEY, 5, size),
+             "stack": derive_permutations(KEY, range(count), size),
+             "transpose": transpose_interleaver(4)}[which]
+        rng = np.random.default_rng(count)
+        y = (rng.standard_normal((count, size))
+             + 1j * rng.standard_normal((count, size))).astype(np.complex64)
+        x, want = y.copy(), decrypt_block(y, p)
+        assert decrypt_block(y, p, out=y) is y
+        assert np.array_equal(y, want)
+        assert np.array_equal(encrypt_block(want, p), x)
+
 
 class TestTransposeInterleaver:
     def test_small_maps(self):
