@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from .errors import KeyFormatError, ShapeError, out_array
+from .errors import PASS_SAMPLES, KeyFormatError, ShapeError, out_array
 
 MIN_KEY_BYTES = 16
 
@@ -128,11 +128,12 @@ class Permutation:
 
 # The longest keystream: blocks 0, 1 and cryptography's most bytes per AESGCM.encrypt
 _MAX_STREAM = 32 + 2**31 - 1
+_TAG_BYTE_ROWS = np.arange(0, 4096, 256)[:, None]  # table row 256 i + b is tag byte i = b
 
 
 @functools.cache
 def _times_x_to_minus_56() -> np.ndarray:
-    """(16, 256, 16) uint8: [i, b] is x**-56 times (byte i = b, others 0) in GHASH's field."""
+    """(4096, 2) uint64: row 256 i + b is x**-56 times (byte i = b, others 0) in GHASH's field."""
     c, low = 1 << 127, []  # bit 127 - k is the coefficient of x**k
     for _ in range(56):  # x**-1, ..., x**-56: add x**128+x**7+x**2+x+1 if x**0 is set, shift
         c = ((c ^ 0xE1 << 120) << 1 & (1 << 128) - 1) | 1 if c >> 127 else c << 1
@@ -140,27 +141,40 @@ def _times_x_to_minus_56() -> np.ndarray:
     cols = low[::-1] + [1 << 127 - m for m in range(72)]  # x**(k - 56) for k in 0..127
     basis = np.frombuffer(b"".join(c.to_bytes(16, "big") for c in cols), np.uint8)
     bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
-    return np.bitwise_xor.reduce(basis.reshape(16, 1, 8, 16) * bits[:, :, None], axis=2)
+    table = np.bitwise_xor.reduce(basis.reshape(16, 1, 8, 16) * bits[:, :, None], axis=2)
+    return table.view(np.uint64).reshape(4096, 2)
 
 
 def _keystreams(key: SecretKey, ells, n: int) -> np.ndarray:
     """(B, n) uint8: the first n keystream bytes of each block in ells.
 
-    A row is one GCM encryption (blocks 2 on) and two tags (blocks 0, 1) in
-    one shared buffer; a body's tag spills into the next row's head, which
-    that row then overwrites.
+    Row r of a (B, width + 16) buffer holds block ells[r]'s two GCM tags
+    (block 1 + x**56 * H, over one zero block of associated data, and block
+    1) and its GCM output (blocks 2 on, then an unread tag).  Keys go a group
+    at a time: one b"".join fills the group's rows, and the gather that
+    turns their tags into block 0 = H stays within the pass budget.
     """
     width, body, nonce = max(n, 32), bytes(max(n - 32, 0)), bytes(12)
-    buf = bytearray(len(ells) * width + 16)
-    for at, ell in zip(range(0, len(ells) * width, width), ells):
-        gcm = AESGCM(hashlib.sha256(key.key_bytes + ell.to_bytes(8, "big")).digest())
-        buf[at + 32:at + width + 16] = gcm.encrypt(nonce, body, None)
-        buf[at:at + 16] = gcm.encrypt(nonce, b"", bytes(16))
-        buf[at + 16:at + 32] = gcm.encrypt(nonce, b"", None)
-    streams = np.frombuffer(buf, np.uint8, len(ells) * width).reshape(len(ells), width)
-    tags = streams[:, :16] ^ streams[:, 16:32]  # x**56 * H, H = E(0**128)
-    streams[:, :16] = np.bitwise_xor.reduce(_times_x_to_minus_56()[np.arange(16), tags], axis=1)
-    return streams[:, :n]
+    buf = np.empty((len(ells), width + 16), np.uint8)
+    group = max(1, 8 * PASS_SAMPLES // (width + 16))  # 8 bytes a sample, as in float64
+    for g in range(0, len(ells), group):
+        rows = buf[g:g + group]
+        rows[:] = np.frombuffer(b"".join(_gcm_outputs(key.key_bytes, ells[g:g + group],
+                                                      nonce, body)), np.uint8).reshape(rows.shape)
+        # the table rows of x**56 * H's bytes, byte-major: the XOR runs over whole rows
+        tags = np.add((rows[:, :16] ^ rows[:, 16:32]).T, _TAG_BYTE_ROWS, order="C")
+        h = np.bitwise_xor.reduce(np.take(_times_x_to_minus_56(), tags, axis=0))
+        rows[:, :16] = h.view(np.uint8)  # H = E(0**128), block 0
+    return buf[:, :n]
+
+
+def _gcm_outputs(key_bytes, ells, nonce, body):
+    """Each block's two tags and GCM output, in the order of a _keystreams row."""
+    for ell in ells:
+        gcm = AESGCM(hashlib.sha256(key_bytes + ell.to_bytes(8, "big")).digest())
+        yield gcm.encrypt(nonce, b"", bytes(16))
+        yield gcm.encrypt(nonce, b"", None)
+        yield gcm.encrypt(nonce, body, None)
 
 
 def _stream_bytes(size: int) -> int:
@@ -272,25 +286,25 @@ def fisher_yates_lockstep(streams, size):
     """(perms, ok): row r is fisher_yates(streams[r], size), for B rows at once.
 
     This is Knuth's Algorithm P, batched.  Per byte-width band each row's
-    unread bytes are split into words once, held transposed as (K, B) in
-    their narrow width, and the rows step over word columns together: a row
-    still inside the band tests its next word against its own i and
-    decrements i on acceptance.  A row's draw for i is kept in draws[i],
-    written every step: a rejected word is overwritten by the accepted one,
-    since the row stays at i until it accepts; a row past the band writes
-    draws[low - 1], which the next band overwrites, and a row that is done
-    writes draws[0], which no swap reads.  The swaps run afterwards, one
-    fancy-index swap across all rows per i.  A row that runs out of words
-    gets ok False, draws[i] = i from its stalled i down (no swap), and so
-    keeps the swaps drawn so far, as fisher_yates does.
+    unread bytes are split into words once, held transposed as (K, B), and
+    the rows step over word columns together: a row still inside the band
+    tests its next word against its own i and decrements i on acceptance.
+    Row r's draw for i goes to draws[i, r], flat position i * B + r, every
+    step: a rejected word is overwritten by the accepted one; a row past the
+    band writes draws[low - 1, r], which the next band overwrites, or
+    draws[0, r], which no swap reads, so whether all rows are past the band
+    is checked only every 8 columns.  A row that runs out of words gets ok
+    False and draws[i, r] = i from its stalled i down (no swap), keeping the
+    swaps drawn so far, as fisher_yates does.  The swaps then run on a
+    (size, B) array whose row i is final once swapped, a gather and a
+    scatter at flat positions per i, and the maps are its transpose.
     """
     B, n = streams.shape
     cols = np.arange(B)
-    draws = np.empty((size, B), dtype=np.int64)
-    draws[:] = np.arange(size)[:, None]  # j == i is no swap
+    draws = np.repeat(np.arange(size, dtype=np.int64), B).reshape(size, B)  # j == i: no swap
+    flat, at, v = draws.reshape(-1), np.empty(B, dtype=np.int64), np.empty(B, dtype=np.int64)
     ok = np.ones(B, dtype=bool)
-    i = np.full(B, size - 1, dtype=np.int64)
-    pos = np.zeros(B, dtype=np.int64)
+    i, pos = np.full(B, size - 1, dtype=np.int64), np.zeros(B, dtype=np.int64)
     masks = np.zeros(size, dtype=np.int64)
     for b in range(1, size.bit_length() + 1):
         masks[1 << (b - 1):1 << b] = (1 << b) - 1
@@ -298,42 +312,43 @@ def fisher_yates_lockstep(streams, size):
     while top:
         nbytes = (top + 7) >> 3
         floor = 8 * nbytes - 8
-        low = 1 << floor
+        low = np.array(1 << floor)
         avail = (n - pos) // nbytes
         words = _band_words(streams, pos, nbytes, int(avail.max()))
+        accepted = np.empty(words.shape, dtype=bool)
         cuts = set(avail.tolist())
-        used = np.zeros(B, dtype=np.int64)
         for k in range(words.shape[0] + 1):
             if k in cuts:
                 dead = np.flatnonzero((avail == k) & (i >= low))
                 draws[i[dead], dead] = i[dead]
                 ok[dead] = False
                 i[dead] = 0
-            if k == words.shape[0]:
+            if k == words.shape[0] or k % 8 == 0 and i.max() < low:
                 break
-            live = i >= low
-            if not live.any():
-                break
-            used += live
-            v = words[k] & masks[i]
-            draws[i, cols] = v
-            i -= live & (v <= i)
-        pos += used * nbytes
+            np.bitwise_and(words[k], np.take(masks, i, out=v, mode="clip"), out=v)
+            flat[np.add(cols, np.multiply(i, B, out=at), out=at)] = v
+            np.maximum(v, low, out=v)  # a row past the band accepts nothing
+            i -= np.less_equal(v, i, out=accepted[k])
+        if floor and k:  # a row that finished the band read up to its last acceptance
+            pos += ok * nbytes * (k - np.argmax(accepted[k - 1::-1], axis=0))
         top = floor
-    perms = np.tile(np.arange(size, dtype=np.int64), (B, 1))
+    draws *= B
+    draws += cols  # the flat position of each draw's slot in a (size, B) array
+    perms = np.repeat(np.arange(size, dtype=np.int64), B).reshape(size, B)
+    held, rows = np.empty(B, dtype=np.int64), perms.reshape(-1)
     for step in range(size - 1, 0, -1):
-        j = draws[step]
-        held = perms[:, step].copy()
-        perms[:, step] = perms[cols, j]
-        perms[cols, j] = held
-    return perms, ok
+        np.take(rows, draws[step], out=held, mode="clip")
+        rows[draws[step]] = perms[step]
+        perms[step] = held
+    return np.ascontiguousarray(perms.T), ok
 
 
 def _band_words(streams, pos, nbytes, k):
     """(k, B) big-endian nbytes-wide words of each row's bytes from pos on.
 
     Words past a row's end read as zeros; the caller knows where each row
-    ends.  Rows all at byte 0, as in the first band, need no gather.
+    ends.  Rows all at byte 0, as in the first band, need no gather, and
+    bytes are a transposed view; wider words are copied in native order.
     """
     B, n = streams.shape
     lo, hi = int(pos.min()), int(pos.max())
@@ -345,7 +360,7 @@ def _band_words(streams, pos, nbytes, k):
         windows = np.lib.stride_tricks.sliding_window_view(padded, k * nbytes, axis=1)
         rest = windows[np.arange(B), pos]
     if nbytes == 1:
-        return np.ascontiguousarray(rest.T)
+        return rest.T
     words = _join_bytes(rest.reshape(B, k, nbytes))
     return np.ascontiguousarray(words.T, dtype=words.dtype.newbyteorder("="))
 

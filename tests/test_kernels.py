@@ -258,6 +258,22 @@ class TestFisherYatesLockstep:
         streams = np.frombuffer(raw, dtype=np.uint8).reshape(rows, n)
         _assert_lockstep_matches_scalar(streams, size)
 
+    @settings(max_examples=30, deadline=None)
+    @given(size=st.sampled_from((64, 255, 256, 257, 300)), rows=st.integers(96, 300),
+           seed=st.integers(0, 2**32 - 1), rejected=st.sampled_from((0.0, 0.5, 0.75)),
+           fill=st.sampled_from((1.2, 4.0)))
+    @example(size=64, rows=1000, seed=0, rejected=0.0, fill=4.0)  # an attack-fresh trial's batch
+    def test_batches_the_key_schedule_shuffles_in_lockstep(self, size, rows, seed, rejected, fill):
+        # derive_permutations gives fisher_yates_lockstep batches of LOCKSTEP_MIN_ROWS rows or
+        # more.  A 0xff byte is rejected by every i that is not 2**b - 1, so the rejected share
+        # of bytes set to 0xff makes rows stall, drift apart and, on the shorter streams
+        # (fill is the length in rejection-free byte counts), run out
+        rng = np.random.default_rng(seed)
+        n = int(fill * _need(size)) + 64
+        streams = rng.integers(0, 256, (rows, n), dtype=np.uint8)
+        streams[rng.random((rows, n)) < rejected] = 0xFF
+        _assert_lockstep_matches_scalar(streams, size)
+
     @pytest.mark.parametrize("size", (255, 256, 257, 65537))
     def test_rows_running_out_in_every_band(self, size):
         # A zero word is always accepted (j = 0), so a zero prefix walks the

@@ -32,6 +32,7 @@ from permofdm import (
     transpose_interleaver,
 )
 from permofdm.cli import main
+from permofdm.errors import PASS_SAMPLES
 from permofdm.fileio import write_iq
 
 VECTORS = Path(__file__).resolve().parents[1] / "vectors" / "permutation_vectors.txt"
@@ -227,6 +228,20 @@ class TestBatchedDerivation:
         for r, ell in enumerate(ells):
             assert np.array_equal(stack.map[r], derive_permutation(KEY, ell, size).map)
 
+    # SHA-256 of the little-endian int64 maps of a batch for each loop and of one large map.
+    # A wrong map barely moves a simulation's output bytes, so the maps themselves are pinned
+    @pytest.mark.parametrize("trials, rows, size, digest", [
+        (3, 1000, 64, "593a882b4254751f20628034bfa681407875cf5af96bbb07bc75e27f181735ad"),
+        (1, 30, 256, "befb048f355bf2c8e0f1244f78f6e839de4c0bf947ed7d17b00aef2d0b6eb0d0"),
+        (1, 1, 4096, "2181049cf4e5426c94c4c75e9079e5681f77e86a097338f5367f5935b5a9866c"),
+    ], ids=["attack-fresh-lockstep", "per-row", "one-map"])
+    def test_maps_match_pinned_digests(self, trials, rows, size, digest):
+        # as a fresh-permutation recovery run derives them: trial t takes the next rows blocks
+        maps = np.concatenate([derive_permutations(KEY, range(t * rows, (t + 1) * rows), size).map
+                               for t in range(trials)])
+        assert maps.shape == (trials * rows, size)
+        assert hashlib.sha256(maps.astype("<i8").tobytes()).hexdigest() == digest
+
     def test_row_of_a_stack_is_checked_already(self, monkeypatch):
         stack = derive_permutations(KEY, [4, 5], 16)
         monkeypatch.setattr(Permutation, "__post_init__", None)  # no Permutation can be built
@@ -271,15 +286,25 @@ class TestKeystream:
         for row, ell in zip(got, ells):
             assert row.tobytes() == _ctr_stream(key, ell, n), (ell, n)
 
+    @pytest.mark.parametrize("n", (1, 4 * permcipher._stream_bytes(64) + 64, FIRST_STREAM_4096))
+    def test_rows_on_both_sides_of_a_key_group_edge(self, n):
+        group = 8 * PASS_SAMPLES // (max(n, 32) + 16)  # the keys whose rows _keystreams joins
+        for rows in sorted({1, max(group - 1, 1), group, group + 1, 1000}):
+            ells = [(0x9E3779B97F4A7C15 * r) % 2**64 for r in range(rows)]
+            got = permcipher._keystreams(KEY, ells, n)
+            want = b"".join(_ctr_stream(KEY.key_bytes, ell, n) for ell in ells)
+            assert got.shape == (rows, n) and got.tobytes() == want, (n, rows)
+
     def test_x_to_minus_56_table_inverts_a_bitwise_multiply_by_x_to_56(self):
         table = permcipher._times_x_to_minus_56()
-        assert table.shape == (16, 256, 16) and table.dtype == np.uint8
+        assert table.shape == (4096, 2) and table.dtype == np.uint64
         rng = np.random.default_rng(56)
         blocks = [1 << k for k in range(128)] + [(1 << 128) - 1]
         blocks += [int.from_bytes(rng.bytes(16), "big") for _ in range(300)]
         x56 = 1 << (127 - 56)
+        rows = np.arange(0, 4096, 256)  # of byte 0 = 0, byte 1 = 0, ...
         for v in blocks:
-            got = np.bitwise_xor.reduce(table[np.arange(16), list(v.to_bytes(16, "big"))])
+            got = np.bitwise_xor.reduce(table[rows + list(v.to_bytes(16, "big"))])
             assert _gf_mul(int.from_bytes(got.tobytes(), "big"), x56) == v
 
     def test_the_batch_is_held_once(self):
